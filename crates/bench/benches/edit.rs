@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cxml_bench::{workload, SIZES};
-use goddag::{Goddag, NodeId, Span};
+use goddag::{EditOp, Goddag, NodeId, Span};
 use prevalid::PrevalidEngine;
 use std::hint::black_box;
 use std::time::Duration;
@@ -30,6 +30,17 @@ fn session_for(words: usize) -> (Session, goddag::HierarchyId, (usize, usize)) {
     (Session::new(g), ling, (s, e))
 }
 
+/// A `<phrase>` over `start..end` of `ling`.
+fn phrase(start: usize, end: usize) -> EditOp {
+    EditOp::InsertElement {
+        hierarchy: "ling".into(),
+        tag: "phrase".into(),
+        attrs: vec![],
+        start,
+        end,
+    }
+}
+
 fn bench_edit(c: &mut Criterion) {
     let mut group = c.benchmark_group("edit");
     group.sample_size(10);
@@ -37,20 +48,20 @@ fn bench_edit(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
 
     for &words in SIZES {
-        let (mut session, ling, (s, e)) = session_for(words);
+        let (mut session, _, (s, e)) = session_for(words);
         session.set_prevalidation(true);
         group.bench_function(BenchmarkId::new("insert_gated", words), |b| {
             b.iter(|| {
-                session.insert_markup(ling, "phrase", vec![], s, e).unwrap();
+                session.apply(phrase(s, e)).unwrap();
                 session.undo().unwrap();
             });
         });
 
-        let (mut session, ling, (s, e)) = session_for(words);
+        let (mut session, _, (s, e)) = session_for(words);
         session.set_prevalidation(false);
         group.bench_function(BenchmarkId::new("insert_ungated", words), |b| {
             b.iter(|| {
-                session.insert_markup(ling, "phrase", vec![], s, e).unwrap();
+                session.apply(phrase(s, e)).unwrap();
                 session.undo().unwrap();
             });
         });

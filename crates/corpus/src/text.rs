@@ -7,19 +7,14 @@
 //! OE-looking words from a syllable inventory drawn from the period's
 //! phonology — enough to make examples readable and encodings realistic.
 
-/// Minimal deterministic PRNG (splitmix64) — the build environment resolves
-/// no external crates, so this stands in for `rand::StdRng`. Statistical
-/// quality is irrelevant here: only determinism per seed and a roughly
-/// uniform spread matter for workload shape.
+/// Deterministic PRNG over [`cxfault::splitmix64`], the workspace's one
+/// seeded RNG. Statistical quality is irrelevant here: only determinism
+/// per seed and a roughly uniform spread matter for workload shape.
 struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        cxfault::splitmix64(&mut self.0)
     }
 
     /// Uniform value in `[0, n)`; `n` must be nonzero.

@@ -21,7 +21,7 @@
 //! id-for-id and epoch-for-epoch equivalent to the captured one, and log
 //! replay is deterministic.
 
-use crate::codec::{crc32, dec, enc, parse_tok};
+use crate::codec::{crc32, parse_tok, str_tok};
 use crate::error::PersistError;
 use goddag::{Goddag, NodeId};
 use sacx::StandoffDoc;
@@ -148,7 +148,7 @@ impl DocBlob {
         }
         out.push('\n');
         for (h, text) in &self.dtds {
-            let _ = writeln!(out, "dtd {h} {}", enc(text));
+            let _ = writeln!(out, "dtd {h} {}", sacx::encode_token(text));
         }
         let _ = writeln!(out, "standoff {}", self.standoff.len());
         out.push_str(&self.standoff);
@@ -248,8 +248,7 @@ impl DocBlob {
                 }
                 Some("dtd") => {
                     let h: u16 = parse_tok(parts.next(), ln, "hierarchy index")?;
-                    let text =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing DTD text".into()))?, ln)?;
+                    let text = str_tok(parts.next(), ln, "DTD text")?;
                     dtds.push((h, text));
                 }
                 Some("standoff") => {

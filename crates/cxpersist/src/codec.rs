@@ -4,18 +4,19 @@
 //! A WAL file is a header line followed by records:
 //!
 //! ```text
-//! #cxwal v1
+//! #cxwal v2
 //! 1 ins 0 anon blob 142 1a2b3c4d
 //! <142 bytes of raw DocBlob text>
 //! 2 edit 0 5 instext 0 swa%20hwa 5e6f7a8b
-//! 3 edit 0 6 insel ling w 0 7 n=1 9c0d1e2f
+//! 3 edit 0 6 insel ling w 0 7 1 n 1 9c0d1e2f
 //! ```
 //!
 //! Every record starts with one line `<lsn> <kind> <fields…> <crc32>`,
 //! where the CRC covers the record body (everything before the final
-//! space). Strings are percent-escaped so they survive the space/newline
-//! framing; the empty string is spelled as a lone `%` (otherwise
-//! unproducible — a `%` always introduces two hex digits). `ins` records
+//! space). Strings are [`sacx::encode_token`]s — percent-escaped so they
+//! survive the space/newline framing, the empty string spelled as a lone
+//! `%` — and an `edit` record's op is the shared [`sacx::encode_op`] line
+//! (attributes as a count, then name/value pairs). `ins` records
 //! carry the document blob as a *length-prefixed raw payload block* after
 //! the line (escaping it would ~triple its size; the blob's own CRC footer
 //! guards its integrity). Torn or bit-flipped trailing records are
@@ -28,7 +29,7 @@ use cxstore::{DocId, EditOp};
 use std::fmt::Write as _;
 
 /// First line of every WAL file (version-bumps on format changes).
-pub const WAL_HEADER: &str = "#cxwal v1\n";
+pub const WAL_HEADER: &str = "#cxwal v2\n";
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE, reflected) — dependency-free, table-driven.
@@ -62,28 +63,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// String escaping
+// Tokens
 // ---------------------------------------------------------------------
-
-/// Percent-escape a string into a single space-free token —
-/// [`sacx::escape_token`] plus one WAL-specific convention: `""` becomes a
-/// lone `%` (otherwise unproducible, since a `%` always introduces two hex
-/// digits), because WAL tokens are positional and an empty token would
-/// break the space framing.
-pub(crate) fn enc(s: &str) -> String {
-    if s.is_empty() {
-        return "%".to_string();
-    }
-    sacx::escape_token(s)
-}
-
-/// Undo [`enc`].
-pub(crate) fn dec(s: &str, line: usize) -> Result<String, PersistError> {
-    if s == "%" {
-        return Ok(String::new());
-    }
-    sacx::unescape_token(s).map_err(|detail| PersistError::Codec { line, detail })
-}
 
 fn bad(line: usize, detail: impl Into<String>) -> PersistError {
     PersistError::Codec { line, detail: detail.into() }
@@ -97,6 +78,13 @@ pub(crate) fn parse_tok<T: std::str::FromStr>(
     what: &str,
 ) -> Result<T, PersistError> {
     tok.and_then(|s| s.parse().ok()).ok_or_else(|| bad(line, format!("expected {what}")))
+}
+
+/// Decode one [`sacx::encode_token`] string token or fail with "missing
+/// `what`" — the string counterpart of [`parse_tok`].
+pub(crate) fn str_tok(tok: Option<&str>, line: usize, what: &str) -> Result<String, PersistError> {
+    let tok = tok.ok_or_else(|| bad(line, format!("missing {what}")))?;
+    sacx::decode_token(tok).map_err(|detail| bad(line, detail))
 }
 
 use parse_tok as num;
@@ -171,13 +159,13 @@ pub fn encode_record(lsn: u64, op: &WalOp) -> String {
     match op {
         WalOp::Edit { doc, epoch, op } => {
             let _ = write!(body, "edit {} {epoch} ", doc.raw());
-            encode_op(&mut body, op);
+            sacx::encode_op(&mut body, op);
         }
         WalOp::DocInsert { doc, name, blob } => {
             let _ = write!(body, "ins {} ", doc.raw());
             match name {
                 Some(n) => {
-                    let _ = write!(body, "named {} ", enc(n));
+                    let _ = write!(body, "named {} ", sacx::encode_token(n));
                 }
                 None => body.push_str("anon "),
             }
@@ -190,10 +178,10 @@ pub fn encode_record(lsn: u64, op: &WalOp) -> String {
             let _ = write!(body, "rm {}", doc.raw());
         }
         WalOp::BindName { doc, name } => {
-            let _ = write!(body, "bind {} {}", doc.raw(), enc(name));
+            let _ = write!(body, "bind {} {}", doc.raw(), sacx::encode_token(name));
         }
         WalOp::UnbindName { name } => {
-            let _ = write!(body, "unbind {}", enc(name));
+            let _ = write!(body, "unbind {}", sacx::encode_token(name));
         }
     }
     let crc = crc32(body.as_bytes());
@@ -203,32 +191,6 @@ pub fn encode_record(lsn: u64, op: &WalOp) -> String {
         body.push_str(&payload);
     }
     body
-}
-
-fn encode_op(out: &mut String, op: &EditOp) {
-    match op {
-        EditOp::InsertElement { hierarchy, tag, attrs, start, end } => {
-            let _ = write!(out, "insel {} {} {start} {end}", enc(hierarchy), enc(tag));
-            for (k, v) in attrs {
-                let _ = write!(out, " {}={}", enc(k), enc(v));
-            }
-        }
-        EditOp::RemoveElement(n) => {
-            let _ = write!(out, "rmel {}", n.0);
-        }
-        EditOp::InsertText { offset, text } => {
-            let _ = write!(out, "instext {offset} {}", enc(text));
-        }
-        EditOp::DeleteText { start, end } => {
-            let _ = write!(out, "deltext {start} {end}");
-        }
-        EditOp::SetAttr { node, name, value } => {
-            let _ = write!(out, "setattr {} {} {}", node.0, enc(name), enc(value));
-        }
-        EditOp::RemoveAttr { node, name } => {
-            let _ = write!(out, "rmattr {} {}", node.0, enc(name));
-        }
-    }
 }
 
 /// Decode one record starting at the beginning of `input` (which may hold
@@ -257,16 +219,14 @@ pub fn decode_record(input: &[u8], line_no: usize) -> Result<(WalRecord, usize),
         "edit" => {
             let doc = DocId::from_raw(num(parts.next(), line_no, "doc id")?);
             let epoch: u64 = num(parts.next(), line_no, "epoch")?;
-            let op = decode_op(&mut parts, line_no)?;
+            let op = sacx::decode_op(&mut parts).map_err(|detail| bad(line_no, detail))?;
             WalOp::Edit { doc, epoch, op }
         }
         "ins" => {
             let doc = DocId::from_raw(num(parts.next(), line_no, "doc id")?);
             let name = match parts.next() {
                 Some("anon") => None,
-                Some("named") => {
-                    Some(dec(parts.next().ok_or_else(|| bad(line_no, "missing name"))?, line_no)?)
-                }
+                Some("named") => Some(str_tok(parts.next(), line_no, "name")?),
                 _ => return Err(bad(line_no, "expected anon|named")),
             };
             if parts.next() != Some("blob") {
@@ -286,11 +246,11 @@ pub fn decode_record(input: &[u8], line_no: usize) -> Result<(WalRecord, usize),
         "rm" => WalOp::DocRemove { doc: DocId::from_raw(num(parts.next(), line_no, "doc id")?) },
         "bind" => {
             let doc = DocId::from_raw(num(parts.next(), line_no, "doc id")?);
-            let name = dec(parts.next().ok_or_else(|| bad(line_no, "missing name"))?, line_no)?;
+            let name = str_tok(parts.next(), line_no, "name")?;
             WalOp::BindName { doc, name }
         }
         "unbind" => {
-            let name = dec(parts.next().ok_or_else(|| bad(line_no, "missing name"))?, line_no)?;
+            let name = str_tok(parts.next(), line_no, "name")?;
             WalOp::UnbindName { name }
         }
         other => return Err(bad(line_no, format!("unknown record kind {other:?}"))),
@@ -299,49 +259,6 @@ pub fn decode_record(input: &[u8], line_no: usize) -> Result<(WalRecord, usize),
         return Err(bad(line_no, "trailing fields after record"));
     }
     Ok((WalRecord { lsn, op }, consumed))
-}
-
-fn decode_op<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-    line_no: usize,
-) -> Result<EditOp, PersistError> {
-    let kind = parts.next().ok_or_else(|| bad(line_no, "missing op kind"))?;
-    Ok(match kind {
-        "insel" => {
-            let hierarchy =
-                dec(parts.next().ok_or_else(|| bad(line_no, "missing hierarchy"))?, line_no)?;
-            let tag = dec(parts.next().ok_or_else(|| bad(line_no, "missing tag"))?, line_no)?;
-            let start: usize = num(parts.next(), line_no, "start")?;
-            let end: usize = num(parts.next(), line_no, "end")?;
-            let mut attrs = Vec::new();
-            for kv in parts.by_ref() {
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| bad(line_no, format!("bad attribute {kv:?}")))?;
-                attrs.push((dec(k, line_no)?, dec(v, line_no)?));
-            }
-            EditOp::InsertElement { hierarchy, tag, attrs, start, end }
-        }
-        "rmel" => EditOp::RemoveElement(goddag::NodeId(num(parts.next(), line_no, "node id")?)),
-        "instext" => EditOp::InsertText {
-            offset: num(parts.next(), line_no, "offset")?,
-            text: dec(parts.next().ok_or_else(|| bad(line_no, "missing text"))?, line_no)?,
-        },
-        "deltext" => EditOp::DeleteText {
-            start: num(parts.next(), line_no, "start")?,
-            end: num(parts.next(), line_no, "end")?,
-        },
-        "setattr" => EditOp::SetAttr {
-            node: goddag::NodeId(num(parts.next(), line_no, "node id")?),
-            name: dec(parts.next().ok_or_else(|| bad(line_no, "missing name"))?, line_no)?,
-            value: dec(parts.next().ok_or_else(|| bad(line_no, "missing value"))?, line_no)?,
-        },
-        "rmattr" => EditOp::RemoveAttr {
-            node: goddag::NodeId(num(parts.next(), line_no, "node id")?),
-            name: dec(parts.next().ok_or_else(|| bad(line_no, "missing name"))?, line_no)?,
-        },
-        other => return Err(bad(line_no, format!("unknown op kind {other:?}"))),
-    })
 }
 
 /// Framing-only walk of one record: return its LSN and total byte length
@@ -490,15 +407,6 @@ mod tests {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn enc_dec_roundtrip_hard_strings() {
-        for s in ["", "%", "a b", "x=y", "line\nbreak", "tab\there", "æøå", "100%"] {
-            let e = enc(s);
-            assert!(!e.contains(' ') && !e.contains('\n') && !e.contains('='), "{e:?}");
-            assert_eq!(dec(&e, 1).unwrap(), s);
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! newest otherwise.
 
 use crate::blob::DocBlob;
-use crate::codec::{crc32, dec, enc, parse_tok};
+use crate::codec::{crc32, parse_tok, str_tok};
 use crate::error::{PersistError, Result};
 use cxstore::{DocId, Store};
 use std::fmt::Write as _;
@@ -64,10 +64,10 @@ impl Manifest {
         let _ = writeln!(out, "lsn {}", self.lsn);
         let _ = writeln!(out, "next {}", self.next_doc);
         for d in &self.docs {
-            let _ = writeln!(out, "doc {} {} {}", d.doc, d.epoch, enc(&d.file));
+            let _ = writeln!(out, "doc {} {} {}", d.doc, d.epoch, sacx::encode_token(&d.file));
         }
         for (n, id) in &self.names {
-            let _ = writeln!(out, "name {} {id}", enc(n));
+            let _ = writeln!(out, "name {} {id}", sacx::encode_token(n));
         }
         let crc = crc32(out.as_bytes());
         let _ = writeln!(out, "crc {crc:08x}");
@@ -107,13 +107,11 @@ impl Manifest {
                 Some("doc") => {
                     let doc: u64 = parse_tok(parts.next(), ln, "doc id")?;
                     let epoch: u64 = parse_tok(parts.next(), ln, "epoch")?;
-                    let file =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing blob file".into()))?, ln)?;
+                    let file = str_tok(parts.next(), ln, "blob file")?;
                     m.docs.push(ManifestDoc { doc, epoch, file });
                 }
                 Some("name") => {
-                    let name =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing name".into()))?, ln)?;
+                    let name = str_tok(parts.next(), ln, "name")?;
                     let id: u64 = parse_tok(parts.next(), ln, "doc id")?;
                     m.names.push((name, id));
                 }
@@ -194,7 +192,7 @@ impl StoreSnapshot {
         let _ = writeln!(out, "lsn {}", self.lsn);
         let _ = writeln!(out, "next {}", self.next_doc);
         for (name, id) in &self.names {
-            let _ = writeln!(out, "name {} {id}", enc(name));
+            let _ = writeln!(out, "name {} {id}", sacx::encode_token(name));
         }
         for (raw, blob) in &self.docs {
             let text = blob.to_text();
@@ -234,8 +232,7 @@ impl StoreSnapshot {
                 }
                 Some("next") => snap.next_doc = parse_tok(parts.next(), ln, "next id")?,
                 Some("name") => {
-                    let name =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing name".into()))?, ln)?;
+                    let name = str_tok(parts.next(), ln, "name")?;
                     let id: u64 = parse_tok(parts.next(), ln, "doc id")?;
                     snap.names.push((name, id));
                 }

@@ -291,3 +291,49 @@ fn lazy_fsync_policies_still_recover_after_orderly_drop() {
         assert_eq!(observe(&store), before, "policy {policy:?}");
     }
 }
+
+#[test]
+fn a_v1_log_is_refused_not_reset() {
+    // A log in the previous WAL format (`k=v` attributes) must be refused
+    // as corrupt: never treated as a fresh or torn log and truncated.
+    let dir = TempDir::new("walv1");
+    let body = "1 edit 0 0 insel ling w 0 7 n=1";
+    let v1 = format!("#cxwal v1\n{body} {:08x}\n", cxpersist::crc32(body.as_bytes()));
+    let wal = dir.path().join("wal.log");
+    std::fs::write(&wal, &v1).unwrap();
+    let err = DurableStore::open(dir.path()).err().expect("a v1 log does not open");
+    assert!(matches!(err, PersistError::Corrupt { .. }), "{err}");
+    assert_eq!(std::fs::read(&wal).unwrap(), v1.as_bytes(), "the log is left as it was");
+}
+
+#[test]
+fn a_malformed_attribute_name_never_reaches_the_wal() {
+    // `%` is the codec's empty token, so an empty attribute name can arrive
+    // from a `cxq1` frame or a script; it must be refused before logging,
+    // or every later open would replay it.
+    let dir = TempDir::new("badattr");
+    let store = DurableStore::open(dir.path()).unwrap();
+    let id = store.insert_named("d", manuscript(20, 9)).unwrap();
+    store.edit(id, EditOp::InsertText { offset: 0, text: "a ".into() }).unwrap();
+    let wal = dir.path().join("wal.log");
+    let wal_before = std::fs::read(&wal).unwrap();
+    for name in ["", "1bad"] {
+        let op = EditOp::InsertElement {
+            hierarchy: "ling".into(),
+            tag: "w".into(),
+            attrs: vec![(name.into(), "x".into())],
+            start: 0,
+            end: 1,
+        };
+        let err = store.edit(id, op).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Store(StoreError::EditRejected(_))),
+            "{name:?}: {err}"
+        );
+    }
+    assert_eq!(std::fs::read(&wal).unwrap(), wal_before, "rejected edits are not logged");
+    let before = observe(&store);
+    drop(store);
+    let reopened = DurableStore::open(dir.path()).unwrap();
+    assert_eq!(observe(&reopened), before);
+}

@@ -4,8 +4,8 @@
 //! One request per frame, one response per frame, answered in order per
 //! connection (which is what makes client-side pipelining work: write
 //! *k* requests, read *k* responses). The payload is a line of
-//! space-separated tokens — strings percent-escaped exactly like the WAL
-//! codec's ([`sacx::escape_token`], empty spelled `%`) — optionally
+//! space-separated tokens — strings as [`sacx::encode_token`]s and edit
+//! ops as [`sacx::encode_op`] lines, exactly like the WAL's — optionally
 //! followed by a newline and a raw text body (document blobs, stand-off
 //! exports, metrics pages), so bulky artifacts ride unescaped:
 //!
@@ -36,6 +36,7 @@ use crate::error::WireError;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp};
 use goddag::NodeId;
+use sacx::{decode_op, decode_token, encode_op, encode_token};
 use std::fmt::Write as _;
 
 /// Version sentinel opening every request line.
@@ -236,22 +237,6 @@ pub enum Response {
 // Tokens
 // ---------------------------------------------------------------------
 
-/// Percent-escape into a space-free token; `""` spelled `%` (same
-/// convention as the WAL codec — positional tokens cannot be empty).
-fn enc(s: &str) -> String {
-    if s.is_empty() {
-        return "%".into();
-    }
-    sacx::escape_token(s)
-}
-
-fn dec(tok: &str) -> Result<String, WireError> {
-    if tok == "%" {
-        return Ok(String::new());
-    }
-    sacx::unescape_token(tok).map_err(WireError::BadRequest)
-}
-
 fn bad(detail: impl Into<String>) -> WireError {
     WireError::BadRequest(detail.into())
 }
@@ -265,79 +250,17 @@ fn tok<'a>(it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str
     it.next().ok_or_else(|| bad(format!("expected {what}")))
 }
 
+/// One [`encode_token`] string, decoded.
+fn str_tok<'a>(it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<String, WireError> {
+    decode_token(tok(it, what)?).map_err(WireError::BadRequest)
+}
+
 /// Split a payload into its token line and optional raw body.
 fn split_body(payload: &str) -> (&str, Option<&str>) {
     match payload.split_once('\n') {
         Some((line, body)) => (line, Some(body)),
         None => (payload, None),
     }
-}
-
-// ---------------------------------------------------------------------
-// EditOp
-// ---------------------------------------------------------------------
-
-fn encode_op(out: &mut String, op: &EditOp) {
-    match op {
-        EditOp::InsertElement { hierarchy, tag, attrs, start, end } => {
-            let _ =
-                write!(out, "insel {} {} {start} {end} {}", enc(hierarchy), enc(tag), attrs.len());
-            for (k, v) in attrs {
-                let _ = write!(out, " {} {}", enc(k), enc(v));
-            }
-        }
-        EditOp::RemoveElement(node) => {
-            let _ = write!(out, "rmel {}", node.0);
-        }
-        EditOp::InsertText { offset, text } => {
-            let _ = write!(out, "instext {offset} {}", enc(text));
-        }
-        EditOp::DeleteText { start, end } => {
-            let _ = write!(out, "deltext {start} {end}");
-        }
-        EditOp::SetAttr { node, name, value } => {
-            let _ = write!(out, "setattr {} {} {}", node.0, enc(name), enc(value));
-        }
-        EditOp::RemoveAttr { node, name } => {
-            let _ = write!(out, "rmattr {} {}", node.0, enc(name));
-        }
-    }
-}
-
-fn decode_op<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<EditOp, WireError> {
-    Ok(match tok(it, "edit op kind")? {
-        "insel" => {
-            let hierarchy = dec(tok(it, "hierarchy")?)?;
-            let tag = dec(tok(it, "tag")?)?;
-            let start = num(it.next(), "start")?;
-            let end = num(it.next(), "end")?;
-            let n: usize = num(it.next(), "attr count")?;
-            let mut attrs = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let k = dec(tok(it, "attr name")?)?;
-                let v = dec(tok(it, "attr value")?)?;
-                attrs.push((k, v));
-            }
-            EditOp::InsertElement { hierarchy, tag, attrs, start, end }
-        }
-        "rmel" => EditOp::RemoveElement(NodeId(num(it.next(), "node")?)),
-        "instext" => {
-            EditOp::InsertText { offset: num(it.next(), "offset")?, text: dec(tok(it, "text")?)? }
-        }
-        "deltext" => {
-            EditOp::DeleteText { start: num(it.next(), "start")?, end: num(it.next(), "end")? }
-        }
-        "setattr" => EditOp::SetAttr {
-            node: NodeId(num(it.next(), "node")?),
-            name: dec(tok(it, "attr name")?)?,
-            value: dec(tok(it, "attr value")?)?,
-        },
-        "rmattr" => EditOp::RemoveAttr {
-            node: NodeId(num(it.next(), "node")?),
-            name: dec(tok(it, "attr name")?)?,
-        },
-        other => return Err(bad(format!("unknown edit op `{other}`"))),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -353,7 +276,7 @@ impl Request {
             Request::Insert { name, blob } => {
                 match name {
                     Some(n) => {
-                        let _ = write!(out, "insertn {}", enc(n));
+                        let _ = write!(out, "insertn {}", encode_token(n));
                     }
                     None => out.push_str("insert"),
                 }
@@ -371,22 +294,23 @@ impl Request {
                 encode_op(&mut out, op);
             }
             Request::Query { doc, expr } => {
-                let _ = write!(out, "query {} {}", doc.raw(), enc(expr));
+                let _ = write!(out, "query {} {}", doc.raw(), encode_token(expr));
             }
             Request::QueryAll { expr } => {
-                let _ = write!(out, "qall {}", enc(expr));
+                let _ = write!(out, "qall {}", encode_token(expr));
             }
             Request::QueryPartial { timeout_ms, expr } => {
-                let _ = write!(out, "qpart {timeout_ms} {}", enc(expr));
+                let _ = write!(out, "qpart {timeout_ms} {}", encode_token(expr));
             }
             Request::Suggest { doc, hierarchy, start, end } => {
-                let _ = write!(out, "suggest {} {} {start} {end}", doc.raw(), enc(hierarchy));
+                let _ =
+                    write!(out, "suggest {} {} {start} {end}", doc.raw(), encode_token(hierarchy));
             }
             Request::Export { doc } => {
                 let _ = write!(out, "export {}", doc.raw());
             }
             Request::IdByName { name } => {
-                let _ = write!(out, "name {}", enc(name));
+                let _ = write!(out, "name {}", encode_token(name));
             }
             Request::Epoch { doc } => {
                 let _ = write!(out, "epoch {}", doc.raw());
@@ -497,7 +421,7 @@ impl Request {
                     .map_err(|e| bad(format!("blob: {e}")))?,
             },
             "insertn" => Request::Insert {
-                name: Some(dec(tok(&mut it, "name")?)?),
+                name: Some(str_tok(&mut it, "name")?),
                 // invariant: the arm above rejects insertn without a body.
                 blob: DocBlob::parse_text(body.expect("checked above"))
                     .map_err(|e| bad(format!("blob: {e}")))?,
@@ -508,25 +432,25 @@ impl Request {
                     "-" => None,
                     g => Some(g.parse::<u64>().map_err(|_| bad("expected guard epoch"))?),
                 };
-                Request::Edit { doc, guard, op: decode_op(&mut it)? }
+                Request::Edit { doc, guard, op: decode_op(&mut it).map_err(WireError::BadRequest)? }
             }
             "query" => Request::Query {
                 doc: doc_of(tok(&mut it, "doc")?)?,
-                expr: dec(tok(&mut it, "expr")?)?,
+                expr: str_tok(&mut it, "expr")?,
             },
-            "qall" => Request::QueryAll { expr: dec(tok(&mut it, "expr")?)? },
+            "qall" => Request::QueryAll { expr: str_tok(&mut it, "expr")? },
             "qpart" => Request::QueryPartial {
                 timeout_ms: num(it.next(), "timeout")?,
-                expr: dec(tok(&mut it, "expr")?)?,
+                expr: str_tok(&mut it, "expr")?,
             },
             "suggest" => Request::Suggest {
                 doc: doc_of(tok(&mut it, "doc")?)?,
-                hierarchy: dec(tok(&mut it, "hierarchy")?)?,
+                hierarchy: str_tok(&mut it, "hierarchy")?,
                 start: num(it.next(), "start")?,
                 end: num(it.next(), "end")?,
             },
             "export" => Request::Export { doc: doc_of(tok(&mut it, "doc")?)? },
-            "name" => Request::IdByName { name: dec(tok(&mut it, "name")?)? },
+            "name" => Request::IdByName { name: str_tok(&mut it, "name")? },
             "epoch" => Request::Epoch { doc: doc_of(tok(&mut it, "doc")?)? },
             "remove" => Request::Remove { doc: doc_of(tok(&mut it, "doc")?)? },
             "metrics" => Request::Metrics,
@@ -554,7 +478,7 @@ impl WireError {
     fn encode_tokens(&self, out: &mut String) {
         match self {
             WireError::Store(d) => {
-                let _ = write!(out, "store {}", enc(d));
+                let _ = write!(out, "store {}", encode_token(d));
             }
             WireError::Stale { current } => {
                 let _ = write!(out, "stale {current}");
@@ -566,7 +490,7 @@ impl WireError {
                 let _ = write!(out, "timeout {shard} {ms}");
             }
             WireError::Unavailable { shard, detail } => {
-                let _ = write!(out, "unavailable {shard} {}", enc(detail));
+                let _ = write!(out, "unavailable {shard} {}", encode_token(detail));
             }
             WireError::WrongShard { owner } => {
                 let _ = write!(out, "wrong_shard {owner}");
@@ -575,21 +499,21 @@ impl WireError {
                 let _ = write!(out, "deadline {ms}");
             }
             WireError::Injected(d) => {
-                let _ = write!(out, "injected {}", enc(d));
+                let _ = write!(out, "injected {}", encode_token(d));
             }
             WireError::BadRequest(d) => {
-                let _ = write!(out, "bad_request {}", enc(d));
+                let _ = write!(out, "bad_request {}", encode_token(d));
             }
             WireError::Busy => out.push_str("busy"),
             WireError::Server(d) => {
-                let _ = write!(out, "server {}", enc(d));
+                let _ = write!(out, "server {}", encode_token(d));
             }
         }
     }
 
     fn decode_tokens<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<WireError, WireError> {
         Ok(match tok(it, "error kind")? {
-            "store" => WireError::Store(dec(tok(it, "detail")?)?),
+            "store" => WireError::Store(str_tok(it, "detail")?),
             "stale" => WireError::Stale { current: num(it.next(), "epoch")? },
             "shard_down" => WireError::ShardDown(num(it.next(), "shard")?),
             "timeout" => {
@@ -597,14 +521,14 @@ impl WireError {
             }
             "unavailable" => WireError::Unavailable {
                 shard: num(it.next(), "shard")?,
-                detail: dec(tok(it, "detail")?)?,
+                detail: str_tok(it, "detail")?,
             },
             "wrong_shard" => WireError::WrongShard { owner: num(it.next(), "shard")? },
             "deadline" => WireError::Deadline { ms: num(it.next(), "ms")? },
-            "injected" => WireError::Injected(dec(tok(it, "detail")?)?),
-            "bad_request" => WireError::BadRequest(dec(tok(it, "detail")?)?),
+            "injected" => WireError::Injected(str_tok(it, "detail")?),
+            "bad_request" => WireError::BadRequest(str_tok(it, "detail")?),
             "busy" => WireError::Busy,
-            "server" => WireError::Server(dec(tok(it, "detail")?)?),
+            "server" => WireError::Server(str_tok(it, "detail")?),
             other => return Err(bad(format!("unknown error kind `{other}`"))),
         })
     }
@@ -676,7 +600,7 @@ impl Response {
             Response::Tags(tags) => {
                 let _ = write!(out, "ok tags {}", tags.len());
                 for t in tags {
-                    let _ = write!(out, " {}", enc(t));
+                    let _ = write!(out, " {}", encode_token(t));
                 }
             }
             Response::Text(text) => {
@@ -702,7 +626,7 @@ impl Response {
                         out,
                         "{:016x} {} {} {} {} {} {}",
                         t.trace_id,
-                        enc(&t.root),
+                        encode_token(&t.root),
                         t.start_ns,
                         t.duration_ns,
                         t.spans,
@@ -777,7 +701,7 @@ impl Response {
                 let k: usize = num(it.next(), "count")?;
                 let mut tags = Vec::with_capacity(k.min(1 << 16));
                 for _ in 0..k {
-                    tags.push(dec(tok(&mut it, "tag")?)?);
+                    tags.push(str_tok(&mut it, "tag")?);
                 }
                 Response::Tags(tags)
             }
@@ -804,7 +728,7 @@ impl Response {
                     list.push(TraceSummaryWire {
                         trace_id: u64::from_str_radix(tok(&mut tt, "trace id")?, 16)
                             .map_err(|_| bad("expected hex trace id"))?,
-                        root: dec(tok(&mut tt, "root")?)?,
+                        root: str_tok(&mut tt, "root")?,
                         start_ns: num(tt.next(), "start")?,
                         duration_ns: num(tt.next(), "duration")?,
                         spans: num(tt.next(), "spans")?,

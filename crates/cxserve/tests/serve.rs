@@ -21,6 +21,9 @@ fn client(server: &ClusterServer) -> Client {
 
 #[test]
 fn every_verb_over_a_real_socket() {
+    // Serialized against the fault test: its armed `serve.request` site
+    // would otherwise fire on this test's requests.
+    let _fp = cxfault::Scenario::setup();
     let dir = TempDir::new("verbs");
     let cluster = open_cluster(&dir, 2);
     let server =
@@ -101,6 +104,9 @@ fn every_verb_over_a_real_socket() {
 
 #[test]
 fn typed_cluster_failures_cross_the_wire() {
+    // Serialized against the fault test: its armed `serve.request` site
+    // would otherwise fire on this test's requests.
+    let _fp = cxfault::Scenario::setup();
     let dir = TempDir::new("typed");
     let cluster = open_cluster(&dir, 2);
     let server =
@@ -200,6 +206,9 @@ fn injected_faults_deadlines_and_panics_are_contained() {
 
 #[test]
 fn shard_scoped_servers_and_the_router_client() {
+    // Serialized against the fault test: its armed `serve.request` site
+    // would otherwise fire on this test's requests.
+    let _fp = cxfault::Scenario::setup();
     let dir = TempDir::new("router");
     let cluster = open_cluster(&dir, 3);
     let servers: Vec<ClusterServer> = (0..3)

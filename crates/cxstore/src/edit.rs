@@ -1,63 +1,8 @@
-//! The store's edit operations, applied under the document write lock and
-//! gated through prevalidation where a schema is known.
+//! What a store edit produced. The operations themselves are
+//! [`goddag::EditOp`], applied under the document write lock and gated
+//! through prevalidation where a schema is known.
 
 use goddag::NodeId;
-
-/// One edit against a store document. Hierarchies are addressed by name so
-/// operations are meaningful without holding a handle to the document's
-/// internals; nodes use the stable [`NodeId`]s returned by earlier queries
-/// and edits (GODDAG ids are never reused).
-#[derive(Debug, Clone, PartialEq)]
-pub enum EditOp {
-    /// Wrap content bytes `start..end` of hierarchy `hierarchy` in a new
-    /// `tag` element. When the hierarchy carries a DTD the insertion is
-    /// first checked with `prevalid::check_insertion`; a rejection leaves
-    /// the document untouched and surfaces the reason.
-    InsertElement {
-        /// Hierarchy name (`"phys"`, `"ling"`, …).
-        hierarchy: String,
-        /// Element local name.
-        tag: String,
-        /// `(name, value)` attributes.
-        attrs: Vec<(String, String)>,
-        /// Content byte range start.
-        start: usize,
-        /// Content byte range end (exclusive).
-        end: usize,
-    },
-    /// Splice an element out of its hierarchy (content is kept).
-    RemoveElement(NodeId),
-    /// Insert text at a byte offset; all hierarchies see it at once.
-    InsertText {
-        /// Byte offset.
-        offset: usize,
-        /// The text.
-        text: String,
-    },
-    /// Delete the content byte range `start..end` under all hierarchies.
-    DeleteText {
-        /// Range start.
-        start: usize,
-        /// Range end (exclusive).
-        end: usize,
-    },
-    /// Set (or replace) an attribute on an element or the root.
-    SetAttr {
-        /// Target node.
-        node: NodeId,
-        /// Attribute name.
-        name: String,
-        /// Attribute value.
-        value: String,
-    },
-    /// Remove an attribute if present.
-    RemoveAttr {
-        /// Target node.
-        node: NodeId,
-        /// Attribute name.
-        name: String,
-    },
-}
 
 /// What an applied edit produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -52,7 +52,8 @@ mod error;
 mod stats;
 mod store;
 
-pub use edit::{EditOp, EditOutcome};
+pub use edit::EditOutcome;
 pub use error::{Result, StoreError};
+pub use goddag::EditOp;
 pub use stats::StoreStats;
 pub use store::{DocId, Store};

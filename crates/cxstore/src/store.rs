@@ -1,19 +1,18 @@
 //! The repository: document registry, compiled-query cache, single and
 //! batch query paths, gated edits.
 
-use crate::edit::{EditOp, EditOutcome};
+use crate::edit::EditOutcome;
 use crate::entry::DocEntry;
 use crate::error::{Result, StoreError};
 use crate::stats::{Counters, StoreMetrics, StoreStats};
 use cxobs::{Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
-use goddag::Goddag;
-use prevalid::InsertionContext;
+use goddag::{EditOp, Goddag, GoddagError};
+use prevalid::{check_insertion, InsertionContext};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use xmlcore::{Attribute, QName};
 
 /// Stable handle to a document in a [`Store`]. Never reused, ordered by
 /// insertion.
@@ -600,22 +599,14 @@ impl Store {
             }
             r
         };
-        let resolved = match gate_result {
-            Ok(resolved) => resolved,
-            Err(err) => {
-                Counters::bump(&self.counters.edits_rejected);
-                self.obs.event("gate.reject", format!("{id}: {err}"));
-                trace.err("gate rejected");
-                return Ok(Err(err));
-            }
-        };
-        log(&op, g.edit_epoch())?;
-        let result = self.apply(&mut g, op, resolved);
-        match &result {
-            Ok(_) => Counters::bump(&self.counters.edits),
-            Err(_) => Counters::bump(&self.counters.edits_rejected),
+        if let Err(err) = gate_result {
+            Counters::bump(&self.counters.edits_rejected);
+            self.obs.event("gate.reject", format!("{id}: {err}"));
+            trace.err("gate rejected");
+            return Ok(Err(err));
         }
-        Ok(result)
+        log(&op, g.edit_epoch())?;
+        Ok(self.apply(&mut g, op))
     }
 
     /// Apply one [`EditOp`] *without* the prevalidation gate — the apply
@@ -631,104 +622,62 @@ impl Store {
     pub fn apply_replicated(&self, id: DocId, op: EditOp) -> Result<EditOutcome> {
         let entry = self.entry(id)?;
         let mut g = entry.write();
-        let resolved = Self::resolve_insert(&g, &op)?;
-        let result = self.apply(&mut g, op, resolved);
-        match &result {
-            Ok(_) => Counters::bump(&self.counters.edits),
-            Err(_) => Counters::bump(&self.counters.edits_rejected),
+        if let EditOp::InsertElement { hierarchy, tag, attrs, .. } = &op {
+            Self::resolve_insert(&g, hierarchy, tag, attrs)?;
         }
-        result
+        self.apply(&mut g, op)
     }
 
-    /// Resolve an `InsertElement`'s hierarchy and tag syntax — shared by
+    /// [`Goddag::resolve_insert`] with its errors in store terms — shared by
     /// the gated edit path and the replication apply path so structural
-    /// verdicts stay deterministic between primary, recovery, and
-    /// replicas. `None` for every other op.
-    fn resolve_insert(g: &Goddag, op: &EditOp) -> Result<Option<(goddag::HierarchyId, QName)>> {
-        let EditOp::InsertElement { hierarchy, tag, .. } = op else {
-            return Ok(None);
-        };
-        let h = g
-            .hierarchy_by_name(hierarchy)
-            .ok_or_else(|| StoreError::UnknownHierarchy(hierarchy.clone()))?;
-        let name = QName::parse(tag)
-            .map_err(|_| StoreError::EditRejected(format!("invalid tag {tag:?}")))?;
-        Ok(Some((h, name)))
+    /// verdicts stay deterministic between primary, recovery, and replicas.
+    fn resolve_insert(
+        g: &Goddag,
+        hierarchy: &str,
+        tag: &str,
+        attrs: &[(String, String)],
+    ) -> Result<goddag::HierarchyId> {
+        match g.resolve_insert(hierarchy, tag, attrs) {
+            Ok((h, ..)) => Ok(h),
+            Err(GoddagError::UnknownHierarchy(name)) => Err(StoreError::UnknownHierarchy(name)),
+            Err(GoddagError::Edit(why)) => Err(StoreError::EditRejected(why)),
+            Err(e) => Err(StoreError::Goddag(e)),
+        }
     }
 
-    /// The pure pre-mutation checks for an op: hierarchy existence, tag
-    /// syntax, and the prevalidation gate for `InsertElement` into a
-    /// hierarchy that carries a DTD. Runs before the WAL append so rejected
-    /// edits never pollute the log. Returns the resolved hierarchy and tag
-    /// for `InsertElement` so [`Store::apply`] does not repeat the lookups.
-    fn gate(
-        &self,
-        entry: &DocEntry,
-        g: &Goddag,
-        op: &EditOp,
-    ) -> Result<Option<(goddag::HierarchyId, QName)>> {
-        let Some((h, name)) = Self::resolve_insert(g, op)? else {
-            return Ok(None);
+    /// The pure pre-mutation checks for an op: hierarchy existence, tag and
+    /// attribute-name syntax, and — for `InsertElement` into a hierarchy
+    /// that carries a DTD — the prevalidation gate,
+    /// [`prevalid::check_insertion`] (the same gate xTagger's `Session`
+    /// runs). Runs before the WAL append so rejected edits never pollute
+    /// the log.
+    fn gate(&self, entry: &DocEntry, g: &Goddag, op: &EditOp) -> Result<()> {
+        let EditOp::InsertElement { hierarchy, tag, attrs, start, end } = op else {
+            return Ok(());
         };
-        let EditOp::InsertElement { tag, start, end, .. } = op else {
-            unreachable!("resolve_insert only resolves InsertElement")
-        };
+        let h = Self::resolve_insert(g, hierarchy, tag, attrs)?;
         if let Some(engine) = entry.engine_for(g, h) {
-            // One reusable check context per gated edit: the host partition
-            // and wrap tables are built once and the tag is tested against
-            // them (the same context that powers [`Store::suggest_tags`]).
-            let verdict = match InsertionContext::new(&engine, g, h, *start, *end) {
-                Ok(ctx) => ctx.check(tag),
-                Err(v) => v,
-            };
+            let verdict = check_insertion(&engine, g, h, tag, *start, *end);
             if !verdict.ok {
                 return Err(StoreError::EditRejected(
                     verdict.reason.unwrap_or_else(|| "prevalidation failed".into()),
                 ));
             }
         }
-        Ok(Some((h, name)))
+        Ok(())
     }
 
-    fn apply(
-        &self,
-        g: &mut Goddag,
-        op: EditOp,
-        resolved: Option<(goddag::HierarchyId, QName)>,
-    ) -> Result<EditOutcome> {
-        let node = match op {
-            EditOp::InsertElement { attrs, start, end, .. } => {
-                // invariant: `gate` ran first and always resolves
-                // InsertElement (or fails the edit before apply).
-                let (h, name) = resolved.expect("gate resolves InsertElement");
-                let attrs = attrs
-                    .into_iter()
-                    .map(|(n, v)| Attribute::new(n.as_str(), v))
-                    .collect::<Vec<_>>();
-                Some(g.insert_element(h, name, attrs, start, end)?)
-            }
-            EditOp::RemoveElement(n) => {
-                g.remove_element(n)?;
-                None
-            }
-            EditOp::InsertText { offset, text } => {
-                g.insert_text(offset, &text)?;
-                None
-            }
-            EditOp::DeleteText { start, end } => {
-                g.delete_text(start, end)?;
-                None
-            }
-            EditOp::SetAttr { node, name, value } => {
-                g.set_attr(node, &name, &value)?;
-                None
-            }
-            EditOp::RemoveAttr { node, name } => {
-                g.remove_attr(node, &name)?;
-                None
-            }
-        };
-        Ok(EditOutcome { node, epoch: g.edit_epoch() })
+    /// Run a gated (or replicated) op and count its outcome.
+    fn apply(&self, g: &mut Goddag, op: EditOp) -> Result<EditOutcome> {
+        let result = g
+            .apply(op)
+            .map(|node| EditOutcome { node, epoch: g.edit_epoch() })
+            .map_err(StoreError::Goddag);
+        match &result {
+            Ok(_) => Counters::bump(&self.counters.edits),
+            Err(_) => Counters::bump(&self.counters.edits_rejected),
+        }
+        result
     }
 
     /// Every tag the hierarchy's DTD allows over `start..end` — the editor
@@ -873,7 +822,7 @@ impl OwnedValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit::EditOp;
+    use goddag::EditOp;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -1358,6 +1307,36 @@ mod tests {
             assert!(res.is_err());
             assert_eq!(logged, 0);
         }
+    }
+
+    #[test]
+    fn malformed_attribute_names_are_rejected_before_the_logger() {
+        let (store, id) = figure1_store();
+        let before = store.with_doc(id, |g| g.to_distributed().unwrap()).unwrap();
+        for name in ["", "1bad", "a b"] {
+            let op = EditOp::InsertElement {
+                hierarchy: "ling".into(),
+                tag: "w".into(),
+                attrs: vec![(name.into(), "x".into())],
+                start: 0,
+                end: 3,
+            };
+            let mut logged = 0;
+            let res = store
+                .edit_with_log(id, op.clone(), |_, _| {
+                    logged += 1;
+                    Ok::<(), std::convert::Infallible>(())
+                })
+                .unwrap();
+            assert_eq!(
+                res.unwrap_err().to_string(),
+                format!("edit rejected: invalid attribute name {name:?}")
+            );
+            assert_eq!(logged, 0, "{name:?} must not reach the logger");
+            assert!(matches!(store.apply_replicated(id, op), Err(StoreError::EditRejected(_))));
+        }
+        assert_eq!(store.with_doc(id, |g| g.to_distributed().unwrap()).unwrap(), before);
+        assert_eq!(store.stats().edits, 0);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`Goddag::remove_element`] splices an element out of its hierarchy;
 //! * [`Goddag::split_leaf_at`] refines the shared leaf frontier;
 //! * [`Goddag::insert_text`] / [`Goddag::delete_text`] edit the content under
-//!   all hierarchies at once.
+//!   all hierarchies at once;
+//! * [`Goddag::apply`] runs one [`EditOp`] — the single edit vocabulary the
+//!   store, its write-ahead log, the wire protocol and xTagger share.
 
 use crate::error::{GoddagError, Result};
 use crate::graph::{Goddag, NodeData, NodeKind};
@@ -17,7 +19,112 @@ use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use xmlcore::{Attribute, QName};
 
+/// One edit as plain data. Hierarchies are addressed by name so operations
+/// are meaningful without holding a handle to the document's internals;
+/// nodes use stable [`NodeId`]s (GODDAG ids are never reused).
+#[derive(Debug, Clone, PartialEq)]
+pub enum EditOp {
+    /// Wrap content bytes `start..end` of hierarchy `hierarchy` in a new
+    /// `tag` element.
+    InsertElement {
+        /// Hierarchy name (`"phys"`, `"ling"`, …).
+        hierarchy: String,
+        /// Element local name.
+        tag: String,
+        /// `(name, value)` attributes.
+        attrs: Vec<(String, String)>,
+        /// Content byte range start.
+        start: usize,
+        /// Content byte range end (exclusive).
+        end: usize,
+    },
+    /// Splice an element out of its hierarchy (content is kept).
+    RemoveElement(NodeId),
+    /// Insert text at a byte offset; all hierarchies see it at once.
+    InsertText {
+        /// Byte offset.
+        offset: usize,
+        /// The text.
+        text: String,
+    },
+    /// Delete the content byte range `start..end` under all hierarchies.
+    DeleteText {
+        /// Range start.
+        start: usize,
+        /// Range end (exclusive).
+        end: usize,
+    },
+    /// Set (or replace) an attribute on an element or the root.
+    SetAttr {
+        /// Target node.
+        node: NodeId,
+        /// Attribute name.
+        name: String,
+        /// Attribute value.
+        value: String,
+    },
+    /// Remove an attribute if present.
+    RemoveAttr {
+        /// Target node.
+        node: NodeId,
+        /// Attribute name.
+        name: String,
+    },
+}
+
+/// Parse an attribute name supplied by an edit.
+fn attr_name(name: &str) -> Result<QName> {
+    QName::parse(name).map_err(|_| GoddagError::Edit(format!("invalid attribute name {name:?}")))
+}
+
 impl Goddag {
+    /// Run one [`EditOp`]; returns the element an `InsertElement` created.
+    /// An `InsertElement` is first checked by [`Goddag::resolve_insert`].
+    /// A failed op may leave leaf splits behind, so callers that promise
+    /// all-or-nothing keep a copy to roll back to.
+    pub fn apply(&mut self, op: EditOp) -> Result<Option<NodeId>> {
+        match op {
+            EditOp::InsertElement { hierarchy, tag, attrs, start, end } => {
+                let (h, name, names) = self.resolve_insert(&hierarchy, &tag, &attrs)?;
+                let attrs = names
+                    .into_iter()
+                    .zip(attrs)
+                    .map(|(name, (_, value))| Attribute { name, value })
+                    .collect();
+                self.insert_element(h, name, attrs, start, end).map(Some)
+            }
+            EditOp::RemoveElement(n) => self.remove_element(n).map(|()| None),
+            EditOp::InsertText { offset, text } => self.insert_text(offset, &text).map(|()| None),
+            EditOp::DeleteText { start, end } => self.delete_text(start, end).map(|()| None),
+            EditOp::SetAttr { node, name, value } => {
+                self.set_attr(node, &name, &value).map(|()| None)
+            }
+            EditOp::RemoveAttr { node, name } => self.remove_attr(node, &name).map(|_| None),
+        }
+    }
+
+    /// The names of an `InsertElement`, checked against this document: the
+    /// hierarchy must exist ([`GoddagError::UnknownHierarchy`]) and the tag
+    /// and every attribute name must be QNames ([`GoddagError::Edit`]).
+    /// This is the one well-formedness rule for inserts: [`Goddag::apply`]
+    /// runs it, and a store runs it before logging an op so a malformed
+    /// one never reaches its write-ahead log. Returns the hierarchy, the
+    /// tag and the attribute names, in order.
+    pub fn resolve_insert(
+        &self,
+        hierarchy: &str,
+        tag: &str,
+        attrs: &[(String, String)],
+    ) -> Result<(HierarchyId, QName, Vec<QName>)> {
+        let h = self
+            .hierarchy_by_name(hierarchy)
+            .ok_or_else(|| GoddagError::UnknownHierarchy(hierarchy.to_string()))?;
+        let name =
+            QName::parse(tag).map_err(|_| GoddagError::Edit(format!("invalid tag {tag:?}")))?;
+        let names = attrs.iter().map(|(n, _)| attr_name(n)).collect::<Result<_>>()?;
+        Ok((h, name, names))
+    }
+
     /// The boundary index (in leaves) corresponding to byte offset `off`:
     /// the number of leaves entirely before `off`. `off` must lie on a leaf
     /// boundary (use [`Goddag::split_leaf_at`] first to make it one).
@@ -270,8 +377,7 @@ impl Goddag {
     /// Set (or replace) an attribute on an element or the root.
     pub fn set_attr(&mut self, n: NodeId, name: &str, value: &str) -> Result<()> {
         self.check_alive(n)?;
-        let qname = QName::parse(name)
-            .map_err(|_| GoddagError::Edit(format!("invalid attribute name {name:?}")))?;
+        let qname = attr_name(name)?;
         match &mut self.data_mut(n).kind {
             NodeKind::Root { attrs, .. } | NodeKind::Element { attrs, .. } => {
                 if let Some(a) = attrs.iter_mut().find(|a| a.name == qname) {

@@ -21,6 +21,8 @@ pub enum GoddagError {
     },
     /// The hierarchy id is unknown.
     NoSuchHierarchy(HierarchyId),
+    /// An edit named a hierarchy the document does not have.
+    UnknownHierarchy(String),
     /// The node id is unknown, dead, or of the wrong kind for the operation.
     NotAnElement(NodeId),
     /// Operation expected a leaf node.
@@ -52,6 +54,7 @@ impl fmt::Display for GoddagError {
                 )
             }
             GoddagError::NoSuchHierarchy(h) => write!(f, "unknown hierarchy {h}"),
+            GoddagError::UnknownHierarchy(name) => write!(f, "unknown hierarchy {name:?}"),
             GoddagError::NotAnElement(n) => write!(f, "{n} is not an element"),
             GoddagError::NotALeaf(n) => write!(f, "{n} is not a leaf"),
             GoddagError::DeadNode(n) => write!(f, "{n} has been removed"),

@@ -45,6 +45,7 @@ mod stats;
 pub mod validate;
 
 pub use builder::{GoddagBuilder, RangeSpec};
+pub use edit::EditOp;
 pub use error::{GoddagError, Result};
 pub use graph::{Goddag, Hierarchy, NodeKind};
 pub use ids::{HierarchyId, NodeId};

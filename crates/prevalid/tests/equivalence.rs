@@ -286,12 +286,7 @@ struct Gen(u64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
-        // splitmix64
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        cxfault::splitmix64(&mut self.0)
     }
 
     fn below(&mut self, n: usize) -> usize {

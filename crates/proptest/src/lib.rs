@@ -1,5 +1,6 @@
-//! A vendored, dependency-free stand-in for the [proptest] property-testing
-//! crate, API-compatible with the subset this workspace's tests use.
+//! A vendored stand-in (no crates.io dependencies) for the [proptest]
+//! property-testing crate, API-compatible with the subset this workspace's
+//! tests use.
 //!
 //! The build environment has no network access to crates.io, so the real
 //! proptest cannot be resolved. This shim keeps the property tests compiling
@@ -13,7 +14,7 @@ pub mod collection;
 pub mod sample;
 pub mod strategy;
 
-/// Deterministic generator state (splitmix64).
+/// Deterministic generator state ([`cxfault::splitmix64`]).
 pub struct TestRng(u64);
 
 impl TestRng {
@@ -30,11 +31,7 @@ impl TestRng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        cxfault::splitmix64(&mut self.0)
     }
 
     /// Uniform value in `[0, n)`; `n` must be nonzero.

@@ -14,6 +14,9 @@
 //! * [`StandoffDriver`] — base text + annotation records.
 //! * [`merge_events`] / [`SacxHandler`] — the merged SAX-style event stream
 //!   for streaming consumers.
+//! * [`encode_op`] / [`decode_op`] — the one text form of a
+//!   [`goddag::EditOp`], shared by the write-ahead log, the wire protocol
+//!   and xTagger scripts.
 //!
 //! ```
 //! let g = sacx::parse_distributed(&[
@@ -29,6 +32,7 @@ mod event;
 mod extract;
 mod fragmentation;
 mod milestone;
+mod op;
 mod prefix;
 mod standoff;
 
@@ -43,6 +47,8 @@ pub use fragmentation::{
     count_fragments, export_fragmentation, import_fragmentation, FragmentationOptions, CX_JOIN,
 };
 pub use milestone::{export_milestone, import_milestone, MilestoneOptions, CX_MID, CX_MS};
+pub use op::{decode_op, encode_op};
 pub use standoff::{
-    escape_token, export_standoff, import_standoff, unescape_token, Annotation, StandoffDoc,
+    decode_token, encode_token, escape_token, export_standoff, import_standoff, unescape_token,
+    Annotation, StandoffDoc,
 };

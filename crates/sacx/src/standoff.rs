@@ -56,8 +56,8 @@ pub struct StandoffDoc {
 
 /// Percent-escape a string into a single token free of spaces, newlines,
 /// `=` and non-ASCII bytes — the escaping used for names and attribute
-/// values in the stand-off text format (and reused by `cxpersist`'s WAL
-/// codec, which layers its own empty-string convention on top). Non-ASCII
+/// values in the stand-off text format (and, through [`encode_token`], by
+/// the edit-op codec). Non-ASCII
 /// bytes are escaped byte-wise: pushing them as `char`s would re-encode
 /// each UTF-8 byte as its own code point and mangle the value on
 /// re-import.
@@ -96,11 +96,27 @@ pub fn unescape_token(s: &str) -> std::result::Result<String, String> {
     String::from_utf8(bytes).map_err(|_| "escape does not decode to UTF-8".to_string())
 }
 
-fn enc(s: &str) -> String {
+/// [`escape_token`] for positional tokens, which cannot be empty: `""` is
+/// spelled as a lone `%` (otherwise unproducible, since a `%` always
+/// introduces two hex digits). The token form of the edit-op codec, the
+/// write-ahead log and the `cxq1` wire protocol.
+pub fn encode_token(s: &str) -> String {
+    if s.is_empty() {
+        return "%".to_string();
+    }
     escape_token(s)
 }
 
-fn dec(s: &str, line: usize) -> Result<String> {
+/// Undo [`encode_token`]; errors are bare detail strings, like
+/// [`unescape_token`]'s.
+pub fn decode_token(s: &str) -> std::result::Result<String, String> {
+    if s == "%" {
+        return Ok(String::new());
+    }
+    unescape_token(s)
+}
+
+fn unescape(s: &str, line: usize) -> Result<String> {
     unescape_token(s).map_err(|detail| SacxError::Standoff { line, detail })
 }
 
@@ -214,21 +230,22 @@ impl StandoffDoc {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str("#cxml-standoff v1\n");
-        let _ = write!(out, "root {}", enc(&self.root));
+        let _ = write!(out, "root {}", escape_token(&self.root));
         for (n, v) in &self.root_attrs {
-            let _ = write!(out, " {}={}", enc(n), enc(v));
+            let _ = write!(out, " {}={}", escape_token(n), escape_token(v));
         }
         out.push('\n');
         for h in &self.hierarchies {
-            let _ = writeln!(out, "hierarchy {}", enc(h));
+            let _ = writeln!(out, "hierarchy {}", escape_token(h));
         }
         let _ = writeln!(out, "content {}", self.content.len());
         out.push_str(&self.content);
         out.push('\n');
         for a in &self.annotations {
-            let _ = write!(out, "annot {} {} {} {}", a.hierarchy, enc(&a.tag), a.start, a.end);
+            let _ =
+                write!(out, "annot {} {} {} {}", a.hierarchy, escape_token(&a.tag), a.start, a.end);
             for (n, v) in &a.attrs {
-                let _ = write!(out, " {}={}", enc(n), enc(v));
+                let _ = write!(out, " {}={}", escape_token(n), escape_token(v));
             }
             out.push('\n');
         }
@@ -280,13 +297,13 @@ impl StandoffDoc {
                         line: ln,
                         detail: "root needs a name".into(),
                     })?;
-                    root = Some(dec(name, ln)?);
+                    root = Some(unescape(name, ln)?);
                     for kv in parts {
                         let (k, v) = kv.split_once('=').ok_or(SacxError::Standoff {
                             line: ln,
                             detail: format!("bad attribute {kv:?}"),
                         })?;
-                        root_attrs.push((dec(k, ln)?, dec(v, ln)?));
+                        root_attrs.push((unescape(k, ln)?, unescape(v, ln)?));
                     }
                 }
                 Some("hierarchy") => {
@@ -294,7 +311,7 @@ impl StandoffDoc {
                         line: ln,
                         detail: "hierarchy needs a name".into(),
                     })?;
-                    hierarchies.push(dec(name, ln)?);
+                    hierarchies.push(unescape(name, ln)?);
                 }
                 Some("content") => {
                     let len: usize =
@@ -330,7 +347,7 @@ impl StandoffDoc {
                             line: ln,
                             detail: "annot needs a hierarchy index".into(),
                         })?;
-                    let tag = dec(
+                    let tag = unescape(
                         parts.next().ok_or(SacxError::Standoff {
                             line: ln,
                             detail: "annot needs a tag".into(),
@@ -356,7 +373,7 @@ impl StandoffDoc {
                             line: ln,
                             detail: format!("bad attribute {kv:?}"),
                         })?;
-                        attrs.push((dec(k, ln)?, dec(v, ln)?));
+                        attrs.push((unescape(k, ln)?, unescape(v, ln)?));
                     }
                     annotations.push(Annotation { hierarchy: h, tag, start, end, attrs });
                 }

@@ -176,8 +176,14 @@ mod tests {
         let sugg = session.suggest(ling, 0, 12);
         assert_eq!(sugg, ["phrase"]);
         // And editing works: an editorial <add> over the first word.
-        let edit = session.goddag().hierarchy_by_name("dmg").unwrap();
-        session.insert_markup(edit, "add", vec![], 0, 4).unwrap();
+        let add = goddag::EditOp::InsertElement {
+            hierarchy: "dmg".into(),
+            tag: "add".into(),
+            attrs: vec![],
+            start: 0,
+            end: 4,
+        };
+        session.apply(add).unwrap();
     }
 
     #[test]

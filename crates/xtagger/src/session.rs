@@ -6,6 +6,8 @@
 //!
 //! The session wraps a [`Goddag`] with:
 //! * per-hierarchy prevalidation engines (from the hierarchy DTDs);
+//! * one edit entry point, [`Session::apply`], over the shared
+//!   [`EditOp`] vocabulary;
 //! * a **prevalidation gate**: markup insertions that would create a
 //!   content-model dead end are refused before they touch the document;
 //! * snapshot-based **undo/redo**;
@@ -13,9 +15,8 @@
 //! * Extended XPath querying of the working document.
 
 use crate::error::{Result, XTaggerError};
-use goddag::{Goddag, GoddagError, HierarchyId, NodeId};
+use goddag::{EditOp, Goddag, HierarchyId, NodeId};
 use prevalid::{check_hierarchy, check_insertion, suggest_tags, HierarchyReport, PrevalidEngine};
-use xmlcore::{Attribute, QName};
 
 /// One undo/redo slot.
 struct Snapshot {
@@ -79,18 +80,13 @@ impl Session {
         self.prevalidation
     }
 
-    /// Human-readable command history.
+    /// Edit history: each applied op's codec line, plus `undo …` and
+    /// `redo …` entries.
     pub fn history(&self) -> &[String] {
         &self.history
     }
 
-    fn snapshot(&mut self, label: &str) {
-        self.undo_stack.push(Snapshot { label: label.to_string(), goddag: self.goddag.clone() });
-        self.redo_stack.clear();
-        self.history.push(label.to_string());
-    }
-
-    /// Undo the last command. Returns its label.
+    /// Undo the last edit. Returns its label.
     pub fn undo(&mut self) -> Result<String> {
         let snap = self.undo_stack.pop().ok_or(XTaggerError::NothingToUndo)?;
         let label = snap.label.clone();
@@ -100,7 +96,7 @@ impl Session {
         Ok(label)
     }
 
-    /// Redo the last undone command. Returns its label.
+    /// Redo the last undone edit. Returns its label.
     pub fn redo(&mut self) -> Result<String> {
         let snap = self.redo_stack.pop().ok_or(XTaggerError::NothingToRedo)?;
         let label = snap.label.clone();
@@ -111,95 +107,47 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // Editing commands
+    // Editing
     // ------------------------------------------------------------------
 
-    /// Insert `<tag>` over content bytes `start..end` in hierarchy `h`.
-    /// With prevalidation on and a DTD present, the insertion is first
-    /// checked and refused if it creates a dead end.
-    pub fn insert_markup(
-        &mut self,
-        h: HierarchyId,
-        tag: &str,
-        attrs: Vec<Attribute>,
-        start: usize,
-        end: usize,
-    ) -> Result<NodeId> {
-        if self.prevalidation {
-            if let Some(engine) = self.engines.get(h.idx()).and_then(Option::as_ref) {
-                let verdict = check_insertion(engine, &self.goddag, h, tag, start, end);
+    /// Apply one edit; returns the element an `InsertElement` created.
+    /// With prevalidation on, an `InsertElement` into a hierarchy with a
+    /// DTD first goes through [`check_insertion`] — the gate the store runs
+    /// too — and is refused if it creates a dead end. A refused or failed
+    /// edit leaves the document and the history untouched; an applied one
+    /// becomes undoable, labelled with its [`sacx::encode_op`] line.
+    pub fn apply(&mut self, op: EditOp) -> Result<Option<NodeId>> {
+        if let EditOp::InsertElement { hierarchy, tag, start, end, .. } = &op {
+            let gate = self.goddag.hierarchy_by_name(hierarchy).and_then(|h| {
+                let engine = self.engines.get(h.idx())?.as_ref()?;
+                self.prevalidation.then_some((h, engine))
+            });
+            if let Some((h, engine)) = gate {
+                let verdict = check_insertion(engine, &self.goddag, h, tag, *start, *end);
                 if !verdict.ok {
                     return Err(XTaggerError::PrevalidationRejected {
-                        tag: tag.to_string(),
+                        tag: tag.clone(),
                         reason: verdict.reason.unwrap_or_else(|| "dead end".into()),
                     });
                 }
             }
         }
-        self.snapshot(&format!("insert <{tag}> {start}..{end}"));
-        let name = QName::parse(tag)
-            .map_err(|e| XTaggerError::Goddag(GoddagError::Edit(e.to_string())))?;
-        match self.goddag.insert_element(h, name, attrs, start, end) {
-            Ok(id) => Ok(id),
+        let mut label = String::new();
+        sacx::encode_op(&mut label, &op);
+        let before = self.goddag.clone();
+        match self.goddag.apply(op) {
+            Ok(node) => {
+                self.undo_stack.push(Snapshot { label: label.clone(), goddag: before });
+                self.redo_stack.clear();
+                self.history.push(label);
+                Ok(node)
+            }
             Err(e) => {
-                // Roll the snapshot back; the command didn't happen.
-                let snap = self.undo_stack.pop().expect("just pushed");
-                self.goddag = snap.goddag;
-                self.history.pop();
+                // A failed op may have split leaves: restore the document.
+                self.goddag = before;
                 Err(XTaggerError::Goddag(e))
             }
         }
-    }
-
-    /// Remove an element (its content stays).
-    pub fn remove_markup(&mut self, node: NodeId) -> Result<()> {
-        let label = format!(
-            "remove <{}>",
-            self.goddag.name(node).map(|q| q.to_string()).unwrap_or_default()
-        );
-        self.snapshot(&label);
-        match self.goddag.remove_element(node) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let snap = self.undo_stack.pop().expect("just pushed");
-                self.goddag = snap.goddag;
-                self.history.pop();
-                Err(XTaggerError::Goddag(e))
-            }
-        }
-    }
-
-    /// Set an attribute on an element.
-    pub fn set_attribute(&mut self, node: NodeId, name: &str, value: &str) -> Result<()> {
-        self.snapshot(&format!("set @{name}"));
-        self.goddag.set_attr(node, name, value).map_err(|e| {
-            let snap = self.undo_stack.pop().expect("just pushed");
-            self.goddag = snap.goddag;
-            self.history.pop();
-            XTaggerError::Goddag(e)
-        })
-    }
-
-    /// Insert text at a byte offset (all hierarchies see the edit).
-    pub fn insert_text(&mut self, offset: usize, text: &str) -> Result<()> {
-        self.snapshot(&format!("insert text @{offset}"));
-        self.goddag.insert_text(offset, text).map_err(|e| {
-            let snap = self.undo_stack.pop().expect("just pushed");
-            self.goddag = snap.goddag;
-            self.history.pop();
-            XTaggerError::Goddag(e)
-        })
-    }
-
-    /// Delete the content bytes `start..end`.
-    pub fn delete_text(&mut self, start: usize, end: usize) -> Result<()> {
-        self.snapshot(&format!("delete text {start}..{end}"));
-        self.goddag.delete_text(start, end).map_err(|e| {
-            let snap = self.undo_stack.pop().expect("just pushed");
-            self.goddag = snap.goddag;
-            self.history.pop();
-            XTaggerError::Goddag(e)
-        })
     }
 
     // ------------------------------------------------------------------
@@ -239,6 +187,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goddag::GoddagError;
     use xmlcore::dtd::parse_dtd;
 
     const DTD: &str = "
@@ -255,14 +204,24 @@ mod tests {
         (Session::new(g), h)
     }
 
+    fn ins(hierarchy: &str, tag: &str, start: usize, end: usize) -> EditOp {
+        let (hierarchy, tag) = (hierarchy.into(), tag.into());
+        EditOp::InsertElement { hierarchy, tag, attrs: vec![], start, end }
+    }
+
+    /// Insert into `phys` and return the new element.
+    fn tag(s: &mut Session, tag: &str, start: usize, end: usize) -> Result<NodeId> {
+        s.apply(ins("phys", tag, start, end)).map(|n| n.expect("insert yields a node"))
+    }
+
     #[test]
     fn insert_and_undo_redo() {
-        let (mut s, h) = session();
-        let w = s.insert_markup(h, "w", vec![], 0, 3).unwrap();
+        let (mut s, _) = session();
+        let w = tag(&mut s, "w", 0, 3).unwrap();
         assert_eq!(s.goddag().text_of(w), "swa");
         assert_eq!(s.goddag().element_count(), 1);
         let label = s.undo().unwrap();
-        assert!(label.contains("insert <w>"));
+        assert_eq!(label, "insel phys w 0 3 0");
         assert_eq!(s.goddag().element_count(), 0);
         s.redo().unwrap();
         assert_eq!(s.goddag().element_count(), 1);
@@ -278,21 +237,21 @@ mod tests {
 
     #[test]
     fn new_command_clears_redo() {
-        let (mut s, h) = session();
-        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
+        let (mut s, _) = session();
+        tag(&mut s, "w", 0, 3).unwrap();
         s.undo().unwrap();
-        s.insert_markup(h, "line", vec![], 0, 7).unwrap();
+        tag(&mut s, "line", 0, 7).unwrap();
         assert!(matches!(s.redo(), Err(XTaggerError::NothingToRedo)));
     }
 
     #[test]
     fn prevalidation_gate_refuses_dead_ends() {
-        let (mut s, h) = session();
+        let (mut s, _) = session();
         // <w> holds only PCDATA; wrapping a <line> inside a <w>... first
         // make a line, then try to wrap a larger range in w so the line
         // must nest inside w — w cannot hold line.
-        s.insert_markup(h, "line", vec![], 0, 7).unwrap();
-        let err = s.insert_markup(h, "w", vec![], 0, 11).unwrap_err();
+        tag(&mut s, "line", 0, 7).unwrap();
+        let err = tag(&mut s, "w", 0, 11).unwrap_err();
         assert!(matches!(err, XTaggerError::PrevalidationRejected { .. }), "{err}");
         // Document untouched, command not in undo stack.
         assert_eq!(s.goddag().element_count(), 1);
@@ -302,21 +261,21 @@ mod tests {
     #[test]
     fn prevalidation_gate_can_be_disabled() {
         let (mut s, h) = session();
-        s.insert_markup(h, "line", vec![], 0, 7).unwrap();
+        tag(&mut s, "line", 0, 7).unwrap();
         s.set_prevalidation(false);
         // Now the same insert succeeds structurally (w around line) even
         // though it can never validate.
-        assert!(s.insert_markup(h, "w", vec![], 0, 11).is_ok());
+        assert!(tag(&mut s, "w", 0, 11).is_ok());
         let report = s.validation_status(h).unwrap();
         assert!(!report.is_potentially_valid());
     }
 
     #[test]
     fn crossing_rejected_with_gate_off_too() {
-        let (mut s, h) = session();
+        let (mut s, _) = session();
         s.set_prevalidation(false);
-        s.insert_markup(h, "line", vec![], 0, 7).unwrap();
-        let err = s.insert_markup(h, "w", vec![], 4, 9).unwrap_err();
+        tag(&mut s, "line", 0, 7).unwrap();
+        let err = tag(&mut s, "w", 4, 9).unwrap_err();
         assert!(matches!(err, XTaggerError::Goddag(GoddagError::WouldCross { .. })), "{err}");
         // Failed command leaves no history entry.
         assert_eq!(s.undo_stack.len(), 1);
@@ -331,11 +290,11 @@ mod tests {
 
     #[test]
     fn text_edits_and_undo() {
-        let (mut s, h) = session();
-        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.insert_text(3, "n").unwrap();
+        let (mut s, _) = session();
+        tag(&mut s, "w", 0, 3).unwrap();
+        s.apply(EditOp::InsertText { offset: 3, text: "n".into() }).unwrap();
         assert_eq!(s.goddag().content(), "swan hwa swe");
-        s.delete_text(0, 2).unwrap();
+        s.apply(EditOp::DeleteText { start: 0, end: 2 }).unwrap();
         assert_eq!(s.goddag().content(), "an hwa swe");
         s.undo().unwrap();
         s.undo().unwrap();
@@ -344,9 +303,10 @@ mod tests {
 
     #[test]
     fn set_attribute_command() {
-        let (mut s, h) = session();
-        let w = s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.set_attribute(w, "type", "noun").unwrap();
+        let (mut s, _) = session();
+        let w = tag(&mut s, "w", 0, 3).unwrap();
+        let set = EditOp::SetAttr { node: w, name: "type".into(), value: "noun".into() };
+        s.apply(set).unwrap();
         assert_eq!(s.goddag().attr(w, "type"), Some("noun"));
         s.undo().unwrap();
         assert_eq!(s.goddag().attr(w, "type"), None);
@@ -354,9 +314,9 @@ mod tests {
 
     #[test]
     fn query_inside_session() {
-        let (mut s, h) = session();
-        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.insert_markup(h, "w", vec![], 4, 7).unwrap();
+        let (mut s, _) = session();
+        tag(&mut s, "w", 0, 3).unwrap();
+        tag(&mut s, "w", 4, 7).unwrap();
         let hits = s.query("//w").unwrap();
         assert_eq!(hits.len(), 2);
         assert!(s.query("//w[").is_err());
@@ -364,21 +324,21 @@ mod tests {
 
     #[test]
     fn history_records_commands() {
-        let (mut s, h) = session();
-        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
+        let (mut s, _) = session();
+        tag(&mut s, "w", 0, 3).unwrap();
         s.undo().unwrap();
         s.redo().unwrap();
-        let hist = s.history().join("; ");
-        assert!(hist.contains("insert <w>"));
-        assert!(hist.contains("undo"));
-        assert!(hist.contains("redo"));
+        assert_eq!(
+            s.history(),
+            ["insel phys w 0 3 0", "undo insel phys w 0 3 0", "redo insel phys w 0 3 0"]
+        );
     }
 
     #[test]
     fn remove_markup_and_undo() {
-        let (mut s, h) = session();
-        let w = s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.remove_markup(w).unwrap();
+        let (mut s, _) = session();
+        let w = tag(&mut s, "w", 0, 3).unwrap();
+        s.apply(EditOp::RemoveElement(w)).unwrap();
         assert_eq!(s.goddag().element_count(), 0);
         s.undo().unwrap();
         assert_eq!(s.goddag().element_count(), 1);
@@ -392,22 +352,20 @@ mod tests {
         ])
         .unwrap();
         let phys = g.hierarchy_by_name("phys").unwrap();
-        let ling = g.hierarchy_by_name("ling").unwrap();
         g.set_dtd(phys, parse_dtd(DTD).unwrap()).unwrap();
         let mut s = Session::new(g);
-        s.insert_markup(phys, "line", vec![], 0, 7).unwrap();
+        tag(&mut s, "line", 0, 7).unwrap();
         // ling has no DTD: anything structurally legal goes, including an
         // element overlapping the phys line.
-        let sent = s.insert_markup(ling, "s", vec![], 4, 11).unwrap();
+        s.apply(ins("ling", "s", 4, 11)).unwrap();
         let lines = s.query("//s/overlapping::phys:line").unwrap();
         assert_eq!(lines.len(), 1);
-        let _ = sent;
     }
 
     #[test]
     fn export_filtered_from_session() {
         let (mut s, h) = session();
-        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
+        tag(&mut s, "w", 0, 3).unwrap();
         let docs = s.export_filtered(&[h]).unwrap();
         assert_eq!(docs.len(), 1);
         assert!(docs[0].1.contains("<w>"));

@@ -6,7 +6,14 @@
 //! Run with: `cargo run --example xtagger_session`
 
 use corpus::dtds;
+use goddag::EditOp;
 use xtagger::{Session, XTaggerError};
+
+/// `<tag attrs…>` over content bytes `start..end` of `hierarchy`.
+fn markup(hierarchy: &str, tag: &str, attrs: &[(&str, &str)], start: usize, end: usize) -> EditOp {
+    let attrs = attrs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+    EditOp::InsertElement { hierarchy: hierarchy.into(), tag: tag.into(), attrs, start, end }
+}
 
 fn main() {
     // A fresh transcription: content only, three empty hierarchies with
@@ -41,23 +48,19 @@ fn main() {
     // ------------------------------------------------------------------
     let words = [(0usize, 4usize), (5, 12), (13, 15), (16, 25), (26, 32)];
     for (i, &(s, e)) in words.iter().enumerate() {
+        let n = (i + 1).to_string();
         let id = session
-            .insert_markup(ling, "w", vec![xmlcore::Attribute::new("n", (i + 1).to_string())], s, e)
-            .expect("word markup is always legal here");
-        println!("tagged <w n={}> {:?}", i + 1, session.goddag().text_of(id));
+            .apply(markup("ling", "w", &[("n", &n)], s, e))
+            .expect("word markup is always legal here")
+            .expect("an insert yields its element");
+        println!("tagged <w n={n}> {:?}", session.goddag().text_of(id));
     }
-    session.insert_markup(ling, "s", vec![], 0, 32).expect("sentence wraps all words");
-    session
-        .insert_markup(phys, "line", vec![xmlcore::Attribute::new("n", "1")], 0, 15)
-        .expect("line 1");
-    session
-        .insert_markup(phys, "line", vec![xmlcore::Attribute::new("n", "2")], 16, 32)
-        .expect("line 2");
+    session.apply(markup("ling", "s", &[], 0, 32)).expect("sentence wraps all words");
+    session.apply(markup("phys", "line", &[("n", "1")], 0, 15)).expect("line 1");
+    session.apply(markup("phys", "line", &[("n", "2")], 16, 32)).expect("line 2");
     // Damage that overlaps both a word and the line boundary — fine, it
     // lives in its own hierarchy.
-    session
-        .insert_markup(edit, "dmg", vec![xmlcore::Attribute::new("agent", "damp")], 9, 19)
-        .expect("damage range");
+    session.apply(markup("edit", "dmg", &[("agent", "damp")], 9, 19)).expect("damage range");
     println!("\nafter tagging: {} elements", session.goddag().element_count());
 
     // ------------------------------------------------------------------
@@ -65,14 +68,14 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\n== Prevalidation gate ==");
     // <s> inside <w> can never validate (w holds #PCDATA only).
-    match session.insert_markup(ling, "s", vec![], 2, 3) {
+    match session.apply(markup("ling", "s", &[], 2, 3)) {
         Err(XTaggerError::PrevalidationRejected { tag, reason }) => {
             println!("  refused <{tag}>: {reason}");
         }
         other => println!("  unexpected: {other:?}"),
     }
     // Crossing markup inside one hierarchy is structurally impossible.
-    match session.insert_markup(phys, "line", vec![], 10, 20) {
+    match session.apply(markup("phys", "line", &[], 10, 20)) {
         Err(e) => println!("  refused crossing line: {e}"),
         Ok(_) => println!("  unexpected acceptance"),
     }
@@ -81,7 +84,7 @@ fn main() {
     // Mistake + undo/redo.
     // ------------------------------------------------------------------
     println!("\n== Undo/redo ==");
-    let extra = session.insert_markup(edit, "res", vec![], 26, 32).unwrap();
+    let extra = session.apply(markup("edit", "res", &[], 26, 32)).unwrap().unwrap();
     println!("  inserted <res> over {:?}", session.goddag().text_of(extra));
     let label = session.undo().unwrap();
     println!("  undo: {label}");

@@ -45,7 +45,14 @@ fn end_to_end_manuscript_pipeline() {
     let (_, we) = ms.word_ranges[1];
     let sugg = session.suggest(ling, ws, we);
     assert_eq!(sugg, ["phrase"], "only <phrase> can wrap two <w>s here");
-    session.insert_markup(ling, "phrase", vec![], ws, we).unwrap();
+    let phrase = goddag::EditOp::InsertElement {
+        hierarchy: "ling".into(),
+        tag: "phrase".into(),
+        attrs: vec![],
+        start: ws,
+        end: we,
+    };
+    session.apply(phrase).unwrap();
     check_invariants(session.goddag()).unwrap();
 
     // 6. Export through every representation and verify the round trip.

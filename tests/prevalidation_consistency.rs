@@ -111,21 +111,32 @@ fn valid_implies_potentially_valid() {
 
 #[test]
 fn gate_matches_engine_through_session() {
-    // The Session's gate and the bare engine must agree.
+    // The Session's gate, the Store's gate and the bare engine must agree.
     let (mut g, ling) = manuscript();
     let engine = PrevalidEngine::new(dtds::ling());
     g.set_dtd(ling, dtds::ling()).unwrap();
-    let mut session = xtagger::Session::new(g);
+    let mut session = xtagger::Session::new(g.clone());
     // A selection spanning two words (phrase fits, page does not).
     let ms = generate(&Params { words: 60, seed: 99, ..Params::default() });
     let (s, _) = ms.word_ranges[0];
     let (_, e) = ms.word_ranges[1];
     for tag in ["phrase", "s", "w", "r"] {
+        let op = goddag::EditOp::InsertElement {
+            hierarchy: "ling".into(),
+            tag: tag.into(),
+            attrs: vec![],
+            start: s,
+            end: e,
+        };
         let engine_says = check_insertion(&engine, session.goddag(), ling, tag, s, e).ok;
-        let gate_says = session.insert_markup(ling, tag, vec![], s, e).is_ok();
+        let gate_says = session.apply(op.clone()).is_ok();
         if gate_says {
             session.undo().unwrap();
         }
-        assert_eq!(engine_says, gate_says, "tag {tag}");
+        let store = cxstore::Store::new();
+        let id = store.insert(g.clone());
+        let store_says = store.edit(id, op).is_ok();
+        assert_eq!(engine_says, gate_says, "tag {tag}: engine vs session");
+        assert_eq!(engine_says, store_says, "tag {tag}: engine vs store");
     }
 }

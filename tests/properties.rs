@@ -196,10 +196,14 @@ proptest! {
         let before_counts = (g.element_count(), g.leaf_count(), g.content());
         let mut session = xtagger::Session::new(g);
         let e = (s + len).min(30);
-        if session
-            .insert_markup(goddag::HierarchyId(0), "w", vec![], s, e)
-            .is_ok()
-        {
+        let op = goddag::EditOp::InsertElement {
+            hierarchy: "h0".into(),
+            tag: "w".into(),
+            attrs: vec![],
+            start: s,
+            end: e,
+        };
+        if session.apply(op).is_ok() {
             session.undo().unwrap();
         }
         let g = session.into_goddag();
