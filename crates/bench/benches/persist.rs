@@ -9,12 +9,15 @@
 //! * `persist/recover/{form}/{docs}` — cold `DurableStore::open` of an
 //!   N-document corpus persisted either as a snapshot (blob decode +
 //!   relabel) or as a WAL of `DocInsert` records (scan + replay).
+//! * `persist/restore/{words}` — `DocBlob::restore` of one 1k/4k/16k-word
+//!   document whose edit history left a leaf boundary inside one word in
+//!   16 that no annotation implies. Linear restore grows ~4× per step.
 //!
 //! All stores live under unique directories in the system temp dir and are
 //! removed when the bench finishes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxpersist::{DurableStore, FsyncPolicy, Options};
+use cxpersist::{DocBlob, DurableStore, FsyncPolicy, Options};
 use cxstore::EditOp;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -131,6 +134,19 @@ fn bench_persist(c: &mut Criterion) {
                 assert_eq!(s.store().len(), docs);
                 s
             });
+        });
+    }
+
+    // One document's restore across sizes.
+    for &words in &[1_000usize, 4_000, 16_000] {
+        let ms = corpus::generate_with_history(&corpus::Params {
+            words,
+            seed: 7,
+            ..corpus::Params::default()
+        });
+        let blob = DocBlob::capture(&ms.goddag);
+        group.bench_function(BenchmarkId::new("restore", words), |b| {
+            b.iter(|| black_box(&blob).restore().unwrap());
         });
     }
 

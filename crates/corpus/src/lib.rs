@@ -8,7 +8,8 @@
 //! * [`manuscript::generate`] — a parameterized synthetic manuscript with
 //!   the paper's exact feature classes (pages/lines, sentences/words,
 //!   damages/restorations) and controlled size, hierarchy count and overlap
-//!   density;
+//!   density; [`manuscript::generate_with_history`] adds the leaf splits
+//!   and tombstones an editing session leaves behind;
 //! * [`figure1`] — a pinned reconstruction of the paper's Figure 1 fragment
 //!   (four conflicting encodings of one piece of Old English);
 //! * [`dtds`] — hierarchy DTDs standing in for the TEI P4 schemas.
@@ -18,4 +19,4 @@ pub mod figure1;
 pub mod manuscript;
 pub mod text;
 
-pub use manuscript::{generate, mixed_host, Manuscript, Params};
+pub use manuscript::{generate, generate_with_history, mixed_host, Manuscript, Params};

@@ -114,6 +114,31 @@ pub fn generate(params: &Params) -> Manuscript {
     Manuscript { goddag, word_ranges, hierarchy_names }
 }
 
+/// [`generate`], then the edit history a long annotation session leaves
+/// behind: a leaf split inside one word in 16 (a frontier boundary no
+/// annotation implies) and, one word in 32, a `<seg>` wrapped around the
+/// word in `ling` and removed again (a tombstone in the arena). Stand-off
+/// text alone cannot reproduce such a document; a persisted blob must.
+pub fn generate_with_history(params: &Params) -> Manuscript {
+    let mut ms = generate(params);
+    let g = &mut ms.goddag;
+    let content = g.content();
+    let ling = g.hierarchy_by_name("ling");
+    let seg = QName::parse("seg").expect("a valid element name");
+    for (i, &(s, e)) in ms.word_ranges.iter().enumerate() {
+        if i % 16 == 0 {
+            g.split_leaf_at(mid_char(&content, s, e)).expect("a char boundary inside the text");
+        }
+        if let Some(ling) = ling.filter(|_| i % 32 == 8) {
+            let wrap = g
+                .insert_element(ling, seg.clone(), vec![], s, e)
+                .expect("a word-aligned range nests inside its <w> or <s>");
+            g.remove_element(wrap).expect("a live element");
+        }
+    }
+    ms
+}
+
 /// Pages of lines; lines end mid-content relative to sentences, which is the
 /// overlap the paper's Figure 1 shows.
 fn build_physical(

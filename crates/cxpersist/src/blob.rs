@@ -15,11 +15,14 @@
 //!   from past splits are re-created),
 //! * the **edit epoch** the document was at.
 //!
-//! [`DocBlob::restore`] re-imports the stand-off, re-splits the frontier,
-//! relabels the arena to the recorded layout ([`goddag::Goddag`]'s
-//! `relabel_nodes`) and restores the epoch — after which the document is
-//! id-for-id and epoch-for-epoch equivalent to the captured one, and log
-//! replay is deterministic.
+//! [`DocBlob::restore`] is one build plus one relabel: it queues the
+//! stand-off's ranges and every recorded leaf offset on one
+//! [`goddag::GoddagBuilder`] (so the recorded frontier comes out of the
+//! same pass that places the markup), relabels the arena to the recorded
+//! layout ([`goddag::Goddag`]'s `relabel_nodes`) and restores the epoch —
+//! after which the document is id-for-id and epoch-for-epoch equivalent to
+//! the captured one, and log replay is deterministic. Its cost is linear in
+//! the document (plus the sorts), however many boundaries past edits left.
 
 use crate::codec::{crc32, parse_tok, str_tok};
 use crate::error::PersistError;
@@ -78,18 +81,23 @@ impl DocBlob {
         }
     }
 
-    /// Rebuild the document: re-import the stand-off, re-create recorded
-    /// leaf boundaries, relabel the arena to the recorded id layout,
-    /// re-attach DTDs, restore the epoch.
+    /// Rebuild the document: build the stand-off together with the
+    /// recorded leaf boundaries, relabel the arena to the recorded id
+    /// layout, re-attach DTDs, restore the epoch.
     pub fn restore(&self) -> Result<Goddag, PersistError> {
         let corrupt = |detail: String| PersistError::Codec { line: 0, detail };
-        let mut g = sacx::import_standoff(&self.standoff)
+        let mut b = StandoffDoc::parse_text(&self.standoff)
+            .and_then(|doc| doc.to_builder())
             .map_err(|e| corrupt(format!("stand-off import failed: {e}")))?;
         // Frontier refinement: boundaries that earlier splits created but no
-        // surviving annotation implies.
+        // surviving annotation implies, built in the same pass.
         for &(_, off) in &self.leaves {
-            g.split_leaf_at(off).map_err(|e| corrupt(format!("bad leaf boundary {off}: {e}")))?;
+            b.boundary(off);
         }
+        // Annotation `i` becomes `new_elems[i]`: the capture recorded
+        // `elems` parallel to the annotations, so positions line up.
+        let (mut g, new_elems) =
+            b.finish_with_ids().map_err(|e| corrupt(format!("stand-off rebuild failed: {e}")))?;
         if g.leaves().len() != self.leaves.len() {
             return Err(corrupt(format!(
                 "frontier mismatch: imported {} leaves, recorded {}",
@@ -97,9 +105,16 @@ impl DocBlob {
                 self.leaves.len()
             )));
         }
-        // The id map: annotation order on the fresh import is the same
-        // structural order the capture recorded, so positions line up.
-        let (_, new_elems) = StandoffDoc::from_goddag_with_ids(&g);
+        // Equal counts can still hide a duplicated offset standing in for
+        // one the markup implies; the frontier must be the recorded one.
+        for (i, (&l, &(_, off))) in g.leaves().iter().zip(&self.leaves).enumerate() {
+            let (start, _) = g.char_range(l);
+            if start != off {
+                return Err(corrupt(format!(
+                    "frontier mismatch: leaf {i} starts at {start}, recorded {off}"
+                )));
+            }
+        }
         if new_elems.len() != self.elems.len() {
             return Err(corrupt(format!(
                 "element mismatch: imported {}, recorded {}",
@@ -112,11 +127,11 @@ impl DocBlob {
         }
         let mut assignments = vec![NodeId(u32::MAX); g.arena_len()];
         assignments[g.root().idx()] = g.root();
-        for (i, &l) in g.leaves().to_vec().iter().enumerate() {
-            assignments[l.idx()] = NodeId(self.leaves[i].0);
+        for (&l, &(id, _)) in g.leaves().iter().zip(&self.leaves) {
+            assignments[l.idx()] = NodeId(id);
         }
-        for (i, &e) in new_elems.iter().enumerate() {
-            assignments[e.idx()] = NodeId(self.elems[i]);
+        for (&e, &id) in new_elems.iter().zip(&self.elems) {
+            assignments[e.idx()] = NodeId(id);
         }
         g.relabel_nodes(&assignments, self.arena_len as usize)
             .map_err(|e| corrupt(format!("relabel failed: {e}")))?;

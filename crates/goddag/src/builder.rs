@@ -41,6 +41,7 @@ pub struct GoddagBuilder {
     content: String,
     hierarchies: Vec<(String, Option<xmlcore::dtd::Dtd>)>,
     ranges: Vec<RangeSpec>,
+    boundaries: Vec<usize>,
 }
 
 impl GoddagBuilder {
@@ -52,6 +53,7 @@ impl GoddagBuilder {
             content: String::new(),
             hierarchies: Vec::new(),
             ranges: Vec::new(),
+            boundaries: Vec::new(),
         }
     }
 
@@ -105,6 +107,14 @@ impl GoddagBuilder {
         self
     }
 
+    /// Add a leaf boundary at byte offset `off` that no range implies (a
+    /// frontier refinement, as left behind by [`Goddag::split_leaf_at`]).
+    /// Checked like range endpoints when the document is built.
+    pub fn boundary(&mut self, off: usize) -> &mut Self {
+        self.boundaries.push(off);
+        self
+    }
+
     /// Number of ranges queued so far.
     pub fn range_count(&self) -> usize {
         self.ranges.len()
@@ -112,7 +122,14 @@ impl GoddagBuilder {
 
     /// Build the GODDAG.
     pub fn finish(self) -> Result<Goddag> {
-        let GoddagBuilder { root_name, root_attrs, content, hierarchies, ranges } = self;
+        self.finish_with_ids().map(|(g, _)| g)
+    }
+
+    /// Build the GODDAG and report the element each range became: `ids[i]`
+    /// is the node built from the `i`-th range queued.
+    pub fn finish_with_ids(self) -> Result<(Goddag, Vec<NodeId>)> {
+        let GoddagBuilder { root_name, root_attrs, content, hierarchies, ranges, mut boundaries } =
+            self;
         let mut g = Goddag::new(root_name);
         if let NodeKind::Root { attrs, .. } = &mut g.data_mut(NodeId(0)).kind {
             *attrs = root_attrs;
@@ -139,18 +156,21 @@ impl GoddagBuilder {
                 return Err(GoddagError::RangeOutOfBounds { start: r.start, end: r.end, len });
             }
         }
-
-        // Boundaries: content ends plus every range endpoint.
-        let mut boundary_set: Vec<usize> = Vec::with_capacity(ranges.len() * 2 + 2);
-        boundary_set.push(0);
-        boundary_set.push(len);
-        for r in &ranges {
-            boundary_set.push(r.start);
-            boundary_set.push(r.end);
+        // `str::is_char_boundary` is false past the end, true at it.
+        if let Some(&off) = boundaries.iter().find(|&&off| !content.is_char_boundary(off)) {
+            return Err(GoddagError::RangeOutOfBounds { start: off, end: off, len });
         }
-        boundary_set.sort_unstable();
-        boundary_set.dedup();
-        let boundaries = boundary_set;
+
+        // Boundaries: content ends, every range endpoint, every extra one.
+        boundaries.reserve(ranges.len() * 2 + 2);
+        boundaries.push(0);
+        boundaries.push(len);
+        for r in &ranges {
+            boundaries.push(r.start);
+            boundaries.push(r.end);
+        }
+        boundaries.sort_unstable();
+        boundaries.dedup();
 
         // Leaves between consecutive boundaries.
         let root = g.root();
@@ -196,7 +216,7 @@ impl GoddagBuilder {
         }
 
         g.renumber();
-        Ok(g)
+        Ok((g, elem_ids))
     }
 }
 
@@ -473,6 +493,41 @@ mod tests {
         let h = b.hierarchy("x");
         b.range(h, "a", vec![], 1, 2).unwrap();
         assert!(matches!(b.finish(), Err(GoddagError::RangeOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn extra_boundaries_match_split_leaf_at() {
+        let mut b = GoddagBuilder::new(q("r"));
+        b.content("abcdef");
+        let phys = b.hierarchy("phys");
+        let ling = b.hierarchy("ling");
+        b.range(phys, "line", vec![], 0, 4).unwrap();
+        b.range(ling, "w", vec![], 2, 6).unwrap();
+        b.boundary(1).boundary(5).boundary(2).boundary(6);
+        let g = b.finish().unwrap();
+        let mut split = overlap_doc();
+        split.split_leaf_at(1).unwrap();
+        split.split_leaf_at(5).unwrap();
+        let texts = |g: &Goddag| -> Vec<String> {
+            g.leaves().iter().map(|&l| g.leaf_text(l).unwrap().to_string()).collect()
+        };
+        assert_eq!(texts(&g), ["a", "b", "cd", "e", "f"]);
+        assert_eq!(texts(&g), texts(&split));
+        for h in g.hierarchy_ids() {
+            assert_eq!(g.to_xml(h).unwrap(), split.to_xml(h).unwrap());
+        }
+        crate::validate::check_invariants(&g).unwrap();
+    }
+
+    #[test]
+    fn bad_boundaries_rejected() {
+        for off in [4, 1] {
+            let mut b = GoddagBuilder::new(q("r"));
+            b.content("æb"); // 'æ' is two bytes
+            b.boundary(off);
+            let err = b.finish().unwrap_err();
+            assert_eq!(err, GoddagError::RangeOutOfBounds { start: off, end: off, len: 3 });
+        }
     }
 
     #[test]

@@ -140,9 +140,12 @@ impl Goddag {
     }
 
     fn check_offset(&self, off: usize) -> Result<()> {
-        let content = self.content();
-        if off > content.len() || !content.is_char_boundary(off) {
-            return Err(GoddagError::RangeOutOfBounds { start: off, end: off, len: content.len() });
+        if !self.is_char_boundary(off) {
+            return Err(GoddagError::RangeOutOfBounds {
+                start: off,
+                end: off,
+                len: self.content_len,
+            });
         }
         Ok(())
     }

@@ -322,6 +322,20 @@ impl Goddag {
         (self.data(first).char_start, last_d.char_start + last_len)
     }
 
+    /// Whether byte offset `off` is a position an edit may name: the end of
+    /// the content, or a UTF-8 char boundary inside it. Equal to
+    /// `off <= content_len() && content().is_char_boundary(off)`, answered
+    /// from the one leaf containing `off` in O(log leaves).
+    pub fn is_char_boundary(&self, off: usize) -> bool {
+        if off >= self.content_len {
+            return off == self.content_len;
+        }
+        self.leaf_at_char(off).is_some_and(|l| match &self.data(l).kind {
+            NodeKind::Leaf { text } => text.is_char_boundary(off - self.data(l).char_start),
+            _ => false,
+        })
+    }
+
     /// The leaf containing byte offset `off` (the leaf whose char range
     /// includes `off`; offsets on a boundary resolve to the following leaf).
     pub fn leaf_at_char(&self, off: usize) -> Option<NodeId> {

@@ -197,6 +197,14 @@ impl StandoffDoc {
 
     /// Materialize the GODDAG.
     pub fn to_goddag(&self) -> Result<Goddag> {
+        Ok(self.to_builder()?.finish()?)
+    }
+
+    /// The builder [`StandoffDoc::to_goddag`] finishes: root, content,
+    /// hierarchies and one range per annotation, queued but not yet
+    /// validated. Callers add what stand-off does not carry (such as extra
+    /// leaf boundaries, [`GoddagBuilder::boundary`]) before building.
+    pub fn to_builder(&self) -> Result<GoddagBuilder> {
         let root = QName::parse(&self.root)
             .map_err(|e| SacxError::Standoff { line: 0, detail: format!("bad root name: {e}") })?;
         let mut b = GoddagBuilder::new(root);
@@ -223,7 +231,7 @@ impl StandoffDoc {
                 end: a.end,
             });
         }
-        Ok(b.finish()?)
+        Ok(b)
     }
 
     /// Serialize to the line-oriented text format.

@@ -1,4 +1,5 @@
-//! Release-mode performance smoke test for the prevalidation hot path.
+//! Release-mode performance smoke tests: the prevalidation hot path,
+//! instrumentation overhead, and the scaling of document restore.
 //!
 //! Ignored by default (debug builds and loaded CI runners would flake);
 //! CI runs it explicitly in release:
@@ -184,4 +185,42 @@ fn suggest_tags_200_words_stays_interactive() {
         elapsed < Duration::from_secs(2),
         "suggest_tags on a 200-word host took {elapsed:?} (budget 2s)"
     );
+}
+
+/// Guards linear-time document restore. `DocBlob::restore` runs on every
+/// served insert, WAL `DocInsert` replay, snapshot load and follower
+/// apply, so its cost must follow the document's size, not its square.
+/// The documents carry an edit history that left a leaf boundary inside
+/// one word in 16, which no annotation implies. A 4× larger document may
+/// take at most 8× as long (a restore that re-checks offsets against the
+/// whole content pays ~16×). Each size keeps its best of 5 samples; the
+/// bound is relative, so slow runners do not trip it.
+#[test]
+#[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
+fn blob_restore_with_history_scales_linearly() {
+    const SAMPLES: usize = 5;
+
+    let blob = |words| {
+        let ms = corpus::generate_with_history(&corpus::Params {
+            words,
+            seed: 42,
+            ..corpus::Params::default()
+        });
+        cxpersist::DocBlob::capture(&ms.goddag)
+    };
+    let best = |blob: &cxpersist::DocBlob| -> Duration {
+        (0..SAMPLES)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(blob.restore().expect("a captured blob restores"));
+                t.elapsed()
+            })
+            .min()
+            .expect("at least one sample")
+    };
+
+    let (small, large) = (blob(1_000), blob(4_000));
+    best(&small); // Warm-up.
+    let (t1k, t4k) = (best(&small), best(&large));
+    assert!(t4k <= t1k * 8, "restoring 4k words took {t4k:?} vs {t1k:?} at 1k words (budget 8×)");
 }
