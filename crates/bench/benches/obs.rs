@@ -3,9 +3,10 @@
 //! Series:
 //! * `obs/counter/{bump|disabled}` — one relaxed `fetch_add` vs. the
 //!   no-op branch of a disabled registry.
-//! * `obs/histogram/{record|span|disabled_span}` — a raw observation
-//!   (3 relaxed `fetch_add`s), a full RAII span (2 clock reads + record),
-//!   and a disabled span (no clock reads at all).
+//! * `obs/histogram/record` — a raw observation (3 relaxed `fetch_add`s).
+//! * `obs/layer/{untraced|disabled}` — one `cxtrace::enter` layer span
+//!   with no active trace: on a live registry (2 clock reads + record)
+//!   and on a disabled one (no clock reads at all).
 //! * `obs/edit/{instrumented|disabled}` — the end-to-end gated-edit path
 //!   on a live vs. no-op registry: the ratio the `perf_smoke` guard pins
 //!   at <5%.
@@ -31,10 +32,15 @@ fn bench_obs(c: &mut Criterion) {
     let (c_live, c_dead) = (live.counter("cx_bench_total"), dead.counter("cx_bench_total"));
     group.bench_function("counter/bump", |b| b.iter(|| c_live.add(black_box(1))));
     group.bench_function("counter/disabled", |b| b.iter(|| c_dead.add(black_box(1))));
-    let (h_live, h_dead) = (live.histogram("cx_bench_ns"), dead.histogram("cx_bench_ns"));
+    let h_live = live.histogram("cx_bench_ns");
     group.bench_function("histogram/record", |b| b.iter(|| h_live.record_ns(black_box(1234))));
-    group.bench_function("histogram/span", |b| b.iter(|| drop(black_box(h_live.span()))));
-    group.bench_function("histogram/disabled_span", |b| b.iter(|| drop(black_box(h_dead.span()))));
+    let (l_live, l_dead) = (live.layer("bench.layer"), dead.layer("bench.layer"));
+    group.bench_function("layer/untraced", |b| {
+        b.iter(|| drop(black_box(cxtrace::enter(black_box(&l_live)))))
+    });
+    group.bench_function("layer/disabled", |b| {
+        b.iter(|| drop(black_box(cxtrace::enter(black_box(&l_dead)))))
+    });
 
     // The gated-edit path end to end, instrumented vs. bare.
     for (label, registry) in

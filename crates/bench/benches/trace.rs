@@ -8,6 +8,9 @@
 //!   an untraced process; the `perf_smoke` guard pins them end to end.
 //! * `trace/span/child` — a recording child span under a live root:
 //!   two clock reads + a thread-local buffer push, no locks.
+//! * `trace/layer/child` — a `cxtrace::enter` layer span under a live
+//!   root: the same child span whose one duration also lands in the
+//!   layer's histogram with the trace id as exemplar.
 //! * `trace/span/root_flush` — a full root span per iteration: the
 //!   once-per-request flush into the flight recorder (the only mutex
 //!   in the crate).
@@ -40,11 +43,16 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| drop(black_box(cxtrace::span(black_box("bench.span")))))
     });
 
-    // A recording child span under a pinned root.
+    // A recording child span under a pinned root, bare and metered.
+    let obs = cxobs::Registry::new();
+    let layer = obs.layer("bench.child");
     {
         let root = cxtrace::span_or_root("bench.root");
         group.bench_function("span/child", |b| {
             b.iter(|| drop(black_box(cxtrace::span(black_box("bench.child")))))
+        });
+        group.bench_function("layer/child", |b| {
+            b.iter(|| drop(black_box(cxtrace::enter(black_box(&layer)))))
         });
         drop(root);
     }

@@ -2,7 +2,7 @@
 
 use crate::error::{ClusterError, Result};
 use crate::router::{Router, ShardId};
-use cxobs::{Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::{Exposition, Gauge, Layer, Observable, Registry};
 use cxpersist::{CheckpointInfo, DocBlob, DurableStore, Options, StoreHealth};
 use cxrepl::Primary;
 use cxstore::{DocId, EditOp, EditOutcome, StoreError, StoreStats};
@@ -131,7 +131,7 @@ pub struct Cluster {
     /// Live fan-out worker threads across batch queries.
     fanout_threads: Arc<Gauge>,
     /// One whole `move_doc` (capture → receive → swap → tombstone).
-    move_doc_ns: Arc<Histogram>,
+    move_doc: Layer,
     /// `cx_shard_health{shard="i"}`: 0 healthy, 1 degraded, 2 down —
     /// refreshed on every health transition and on exposition.
     health_gauges: Vec<Arc<Gauge>>,
@@ -247,7 +247,7 @@ impl Cluster {
             .collect();
         let gate_waiters = obs.gauge("cx_gate_waiters");
         let fanout_threads = obs.gauge("cx_fanout_threads");
-        let move_doc_ns = obs.histogram("cx_move_doc_ns");
+        let move_doc = obs.layer("cluster.move_doc");
         let down = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
         let health_gauges = (0..shards.len())
             .map(|i| obs.gauge_with("cx_shard_health", &[("shard", &i.to_string())]))
@@ -265,7 +265,7 @@ impl Cluster {
             shard_inflight,
             gate_waiters,
             fanout_threads,
-            move_doc_ns,
+            move_doc,
             health_gauges,
         })
     }
@@ -928,8 +928,7 @@ impl Cluster {
         }
         // The span covers the gate drain too: that wait *is* migration
         // latency as writers experience it.
-        let _span = self.move_doc_ns.span();
-        let trace = cxtrace::span("cluster.move_doc");
+        let trace = cxtrace::enter(&self.move_doc);
         trace.attr("doc", id.raw());
         trace.attr("shard", to.0);
         let _exclusive = write_gate(&self.gate);
@@ -1018,7 +1017,7 @@ impl Cluster {
     }
 
     /// The cluster-level metrics registry (`cx_gate_waiters`,
-    /// `cx_fanout_threads`, per-shard in-flight gauges, `cx_move_doc_ns`,
+    /// `cx_fanout_threads`, per-shard in-flight gauges, `cx_cluster_move_doc_ns`,
     /// migration events). Each shard's own registry hangs off its
     /// [`DurableStore::registry`].
     pub fn registry(&self) -> &Arc<Registry> {

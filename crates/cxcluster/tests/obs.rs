@@ -79,18 +79,18 @@ fn cluster_exposition_under_soak() {
     for s in 0..SHARDS {
         assert!(metric(&page, &format!("cx_docs{{shard=\"{s}\"}}")) >= 1);
         assert!(metric(&page, &format!("cx_edits_total{{shard=\"{s}\"}}")) > 0);
-        assert!(metric(&page, &format!("cx_edit_ns_count{{shard=\"{s}\"}}")) > 0);
+        assert!(metric(&page, &format!("cx_store_edit_ns_count{{shard=\"{s}\"}}")) > 0);
         assert!(metric(&page, &format!("cx_wal_append_ns_count{{shard=\"{s}\"}}")) > 0);
         assert!(metric(&page, &format!("cx_checkpoint_ns_count{{shard=\"{s}\"}}")) >= 1);
-        let p50 = metric(&page, &format!("cx_edit_ns{{shard=\"{s}\",quantile=\"0.5\"}}"));
-        let p90 = metric(&page, &format!("cx_edit_ns{{shard=\"{s}\",quantile=\"0.9\"}}"));
-        let p99 = metric(&page, &format!("cx_edit_ns{{shard=\"{s}\",quantile=\"0.99\"}}"));
+        let p50 = metric(&page, &format!("cx_store_edit_ns{{shard=\"{s}\",quantile=\"0.5\"}}"));
+        let p90 = metric(&page, &format!("cx_store_edit_ns{{shard=\"{s}\",quantile=\"0.9\"}}"));
+        let p99 = metric(&page, &format!("cx_store_edit_ns{{shard=\"{s}\",quantile=\"0.99\"}}"));
         assert!(0 < p50 && p50 <= p90 && p90 <= p99, "shard {s}: {p50}/{p90}/{p99}");
     }
 
     // Cluster-level series: migration latency recorded, queueing gauges
     // back to zero now that the soak has quiesced.
-    assert!(metric(&page, "cx_move_doc_ns_count") >= 2);
+    assert!(metric(&page, "cx_cluster_move_doc_ns_count") >= 2);
     assert_eq!(metric(&page, "cx_gate_waiters"), 0);
     assert_eq!(metric(&page, "cx_fanout_threads"), 0);
     for s in 0..SHARDS {

@@ -5,7 +5,9 @@
 //! suffix-typed (`_total` counters, `_ns` histograms, bare gauges), be
 //! documented in the README metric table exactly once, and never be
 //! registered under two different types. The README table, in turn,
-//! must not mention metrics that no longer exist.
+//! must not mention metrics that no longer exist. A `.layer("a.b")`
+//! registration is the histogram `cxobs::layer_metric("a.b")`
+//! (`cx_a_b_ns`), derived by the same function the registry uses.
 //!
 //! Rule ids: `mx-name`, `mx-suffix`, `mx-type-collision`,
 //! `mx-undocumented`, `mx-doc-dup`, `mx-stale-doc`.
@@ -49,7 +51,7 @@ fn registration_kind(method: &str) -> Option<Kind> {
     Some(match method {
         "counter" | "counter_with" => Kind::Counter,
         "gauge" | "gauge_with" => Kind::Gauge,
-        "histogram" | "histogram_with" | "time" => Kind::Histogram,
+        "histogram" | "histogram_with" | "layer" => Kind::Histogram,
         "write" | "write_with" => Kind::Exposed,
         _ => return None,
     })
@@ -72,7 +74,12 @@ fn sites(ws: &Workspace) -> Vec<Site> {
                 continue;
             }
             let consts = std::collections::HashMap::new();
-            let Some(name) = crate::rules::resolve_str_arg(t, i + 2, &consts) else { continue };
+            let Some(mut name) = crate::rules::resolve_str_arg(t, i + 2, &consts) else {
+                continue;
+            };
+            if method == "layer" {
+                name = cxobs::layer_metric(&name);
+            }
             if !name.starts_with("cx_") {
                 continue;
             }
@@ -272,6 +279,18 @@ mod tests {
         assert_eq!(fs[0].rule, "mx-doc-dup");
         assert_eq!(fs[0].file, "README.md");
         assert_eq!(fs[0].line, 1);
+    }
+
+    #[test]
+    fn layers_register_their_derived_histogram() {
+        let w = ws(
+            "fn f(r: &Registry) { r.layer(\"store.edit\"); r.layer(\"wal.append\"); }",
+            "| latency | `cx_store_edit_ns` |\n",
+        );
+        let fs = check(&w);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].rule, "mx-undocumented");
+        assert!(fs[0].message.contains("`cx_wal_append_ns`"), "{}", fs[0].message);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   relaxed `fetch_add`s plus a bucket index from `leading_zeros` —
 //!   cheap enough for WAL appends and gate decisions.
 //!
-//! Latency is captured with **span timers**: [`Histogram::time`] wraps a
-//! closure, [`Histogram::span`] returns a guard that records on drop
-//! (early returns included), and [`Registry::time`] is the
-//! string-addressed convenience (`obs.time("wal.append", || …)`) for
-//! paths that don't hold a handle.
+//! Latency is captured per **layer**: [`Registry::layer`] names one
+//! timed layer of the stack (`"store.edit"`) and registers its histogram
+//! as [`layer_metric`] of that name (`cx_store_edit_ns`). `cxtrace::enter`
+//! opens one guard per call that times the layer once and feeds both the
+//! histogram and, when a trace is active, the trace span of the same name.
+//! Durations measured some other way go in with [`Histogram::record`].
 //!
 //! Rare, high-signal moments (follower state transitions, terminal
 //! errors, checkpoint generations, migrations, gate rejections) go into a
@@ -32,8 +33,8 @@
 //! store-shaped type implements to contribute its lines.
 //!
 //! A [`Registry::disabled`] registry turns every record into a branch
-//! (span timers skip the clock reads entirely), which is what the
-//! `perf_smoke` overhead guard compares against.
+//! (an untraced layer span skips the clock reads entirely), which is
+//! what the `perf_smoke` overhead guard compares against.
 //!
 //! ```
 //! use cxobs::Registry;
@@ -41,9 +42,9 @@
 //! let obs = Registry::new();
 //! let requests = obs.counter("cx_requests_total");
 //! let latency = obs.histogram("cx_request_ns");
-//! for _ in 0..100 {
+//! for i in 0..100 {
 //!     requests.bump();
-//!     latency.time(|| { /* serve */ });
+//!     latency.record_ns(1_000 + i);
 //! }
 //! obs.event("demo", "served 100 requests");
 //! assert_eq!(requests.get(), 100);
@@ -60,5 +61,5 @@ mod registry;
 
 pub use events::{Event, EventRing};
 pub use expose::{Exposition, Observable};
-pub use metrics::{Counter, Gauge, GaugeGuard, Histogram, HistogramSnapshot, Span, BUCKETS};
-pub use registry::Registry;
+pub use metrics::{Counter, Gauge, GaugeGuard, Histogram, HistogramSnapshot, BUCKETS};
+pub use registry::{layer_metric, Layer, Registry};

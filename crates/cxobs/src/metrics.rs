@@ -1,7 +1,7 @@
 //! The three metric kinds: counters, gauges, log2-bucket histograms.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of histogram buckets. Bucket `i` holds values in
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also holds 0), so the top
@@ -144,8 +144,7 @@ impl Histogram {
     }
 
     /// Whether this histogram records anything (false on a disabled
-    /// registry — [`Histogram::time`]/[`Histogram::span`] then skip the
-    /// clock reads too).
+    /// registry — a layer span then skips the clock reads too).
     pub fn enabled(&self) -> bool {
         self.on
     }
@@ -175,35 +174,6 @@ impl Histogram {
         self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Time a closure and record its latency — the span timer for
-    /// straight-line paths. Disabled histograms run the closure bare.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.time_tagged(0, f)
-    }
-
-    /// [`Histogram::time`] with an exemplar tag on the observation.
-    pub fn time_tagged<R>(&self, tag: u64, f: impl FnOnce() -> R) -> R {
-        if !self.on {
-            return f();
-        }
-        let start = Instant::now();
-        let r = f();
-        self.record_ns_tagged(start.elapsed().as_nanos().min(u64::MAX as u128) as u64, tag);
-        r
-    }
-
-    /// Start a span that records on drop — for paths with early returns
-    /// or latency that spans a scope rather than a closure.
-    pub fn span(&self) -> Span<'_> {
-        self.span_tagged(0)
-    }
-
-    /// [`Histogram::span`] with an exemplar tag on the recorded
-    /// observation.
-    pub fn span_tagged(&self, tag: u64) -> Span<'_> {
-        Span { hist: self, start: if self.on { Some(Instant::now()) } else { None }, tag }
-    }
-
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -216,26 +186,6 @@ impl Histogram {
             sum_ns: self.sum.load(Ordering::Relaxed),
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             exemplars: std::array::from_fn(|i| self.exemplars[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// An in-flight span from [`Histogram::span`]: records elapsed time on
-/// drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    hist: &'a Histogram,
-    start: Option<Instant>,
-    tag: u64,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist.record_ns_tagged(
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                self.tag,
-            );
         }
     }
 }
@@ -342,19 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn span_and_time_record() {
-        let h = Histogram::new(true);
-        h.time(|| std::thread::sleep(Duration::from_micros(50)));
-        {
-            let _span = h.span();
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert!(s.sum_ns >= 100_000, "both spans measured at least the sleep");
-    }
-
-    #[test]
     fn exemplars_remember_the_last_tagged_observation_per_bucket() {
         let h = Histogram::new(true);
         h.record_ns(1_000);
@@ -367,11 +304,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.exemplars[bucket_of(1_000)], 0xdef, "last tag wins");
         assert_eq!(s.exemplars[bucket_of(1_000_000)], 0x123);
-        h.time_tagged(0x77, || ());
-        drop(h.span_tagged(0x88));
-        let s = h.snapshot();
-        assert!(s.exemplars.contains(&0x77) || s.exemplars.contains(&0x88));
-        assert_eq!(s.count, 7);
     }
 
     #[test]
@@ -384,8 +316,6 @@ mod tests {
         assert_eq!(g.get(), 0);
         let h = Histogram::new(false);
         h.record_ns(7);
-        assert_eq!(h.time(|| 42), 42);
-        drop(h.span());
         assert_eq!(h.snapshot().count, 0);
     }
 

@@ -30,6 +30,34 @@ impl Metric {
     }
 }
 
+/// The histogram a layer registers: `cx_`, the layer name with `.`
+/// turned into `_`, then `_ns` (`store.edit` → `cx_store_edit_ns`). The
+/// only place that knows the rule; the metric linter calls it too.
+pub fn layer_metric(layer: &str) -> String {
+    format!("cx_{}_ns", layer.replace('.', "_"))
+}
+
+/// One timed layer of the stack: its static name, which is also its
+/// trace span name, and its latency histogram. `cxtrace::enter` opens
+/// one span that feeds both.
+#[derive(Debug, Clone)]
+pub struct Layer {
+    name: &'static str,
+    hist: Arc<Histogram>,
+}
+
+impl Layer {
+    /// The layer (and trace span) name, e.g. `"store.edit"`.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The layer's latency histogram.
+    pub fn histogram(&self) -> &Histogram {
+        &self.hist
+    }
+}
+
 /// A registry of named metrics plus one [`EventRing`]. One registry
 /// backs one store stack: the layers (`Store`, `DurableStore`,
 /// replication, cluster) register their handles here once and bump them
@@ -64,11 +92,6 @@ impl Registry {
     /// the baseline the instrumentation-overhead guard compares against.
     pub fn disabled() -> Registry {
         Registry { on: false, metrics: RwLock::default(), events: EventRing::new(0) }
-    }
-
-    /// Whether metrics recorded through this registry are kept.
-    pub fn is_enabled(&self) -> bool {
-        self.on
     }
 
     /// The named counter (registered on first use).
@@ -125,15 +148,10 @@ impl Registry {
         )
     }
 
-    /// Time a closure into the named histogram — the string-addressed
-    /// span timer (`obs.time("wal.append", || …)`). Hot paths should
-    /// hold the [`Registry::histogram`] handle instead and call
-    /// [`Histogram::time`] directly; this pays one map lookup.
-    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.on {
-            return f();
-        }
-        self.histogram(name).time(f)
+    /// The named layer of the stack, with its latency histogram
+    /// registered as [`layer_metric`]`(name)` (first use registers it).
+    pub fn layer(&self, name: &'static str) -> Layer {
+        Layer { name, hist: self.histogram(&layer_metric(name)) }
     }
 
     /// Record an event into the ring.
@@ -302,14 +320,16 @@ mod tests {
     }
 
     #[test]
-    fn string_addressed_timer_registers_and_records() {
+    fn layers_register_their_histogram_once() {
         let r = Registry::new();
-        assert_eq!(r.time("cx_step_ns", || 7), 7);
-        assert_eq!(r.histogram("cx_step_ns").snapshot().count, 1);
-        // Disabled registries run the closure bare and keep nothing.
+        let l = r.layer("wal.append");
+        assert_eq!(l.name(), "wal.append");
+        assert_eq!(layer_metric("store.query_all"), "cx_store_query_all_ns");
+        l.histogram().record_ns(5);
+        assert_eq!(r.layer("wal.append").histogram().count(), 1, "same histogram");
+        assert_eq!(r.histogram("cx_wal_append_ns").count(), 1);
         let off = Registry::disabled();
-        assert_eq!(off.time("cx_step_ns", || 7), 7);
-        assert_eq!(off.histogram("cx_step_ns").snapshot().count, 0);
+        assert!(!off.layer("wal.append").histogram().enabled());
         off.event("x", "dropped");
         assert!(off.events().is_empty());
     }

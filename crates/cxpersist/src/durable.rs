@@ -25,7 +25,7 @@ use crate::snapshot::{
     list_snapshots, load_snapshot, prune_snapshots, sync_dir, validated_manifest, write_snapshot,
     StoreSnapshot,
 };
-use cxobs::{Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::{Exposition, Gauge, Histogram, Layer, Observable, Registry};
 use cxstore::{DocId, EditOp, EditOutcome, Store, StoreStats};
 use goddag::Goddag;
 use std::fs::{self, File, OpenOptions};
@@ -171,15 +171,15 @@ struct PersistCounters {
     tail_cache_misses: AtomicU64,
 }
 
-/// The durability layer's latency histograms, registered on the wrapped
-/// store's [`Registry`] so one exposition covers both layers.
+/// The durability layer's timed layers and metrics, registered on the
+/// wrapped store's [`Registry`] so one exposition covers both layers.
 struct PersistMetrics {
     /// One WAL append (encode + write + any policy-due fsync).
-    wal_append_ns: Arc<Histogram>,
+    wal_append: Layer,
     /// One `fdatasync` of the log.
-    wal_fsync_ns: Arc<Histogram>,
+    wal_fsync: Layer,
     /// A whole checkpoint (snapshot + rotation + pruning).
-    checkpoint_ns: Arc<Histogram>,
+    checkpoint: Layer,
     /// The WAL replay phase of [`DurableStore::open`].
     recovery_replay_ns: Arc<Histogram>,
     /// 1 while the store is in the read-only Degraded state, else 0.
@@ -189,9 +189,9 @@ struct PersistMetrics {
 impl PersistMetrics {
     fn new(r: &Registry) -> PersistMetrics {
         PersistMetrics {
-            wal_append_ns: r.histogram("cx_wal_append_ns"),
-            wal_fsync_ns: r.histogram("cx_wal_fsync_ns"),
-            checkpoint_ns: r.histogram("cx_checkpoint_ns"),
+            wal_append: r.layer("wal.append"),
+            wal_fsync: r.layer("wal.fsync"),
+            checkpoint: r.layer("checkpoint"),
             recovery_replay_ns: r.histogram("cx_recovery_replay_ns"),
             degraded: r.gauge("cx_store_degraded"),
         }
@@ -923,8 +923,7 @@ impl DurableStore {
     }
 
     fn append_locked(&self, w: &mut WalState, op: WalOp) -> Result<()> {
-        let _span = self.metrics.wal_append_ns.span_tagged(cxtrace::current_trace_id());
-        let trace = cxtrace::span("wal.append");
+        let trace = cxtrace::enter(&self.metrics.wal_append);
         trace.attr("lsn", w.lsn + 1);
         let pre_len = w.len;
         let line = encode_record(w.lsn + 1, &op);
@@ -986,16 +985,12 @@ impl DurableStore {
 
     fn sync_locked(&self, w: &mut WalState) -> Result<()> {
         if w.dirty > 0 {
-            let trace = cxtrace::span("wal.fsync");
+            let trace = cxtrace::enter(&self.metrics.wal_fsync);
             // Failpoint + real fsync share one error path: records are
             // sitting in the page cache with no way to make them durable,
             // so the store degrades (the caller additionally rolls back
             // its own record when this failure aborts an append).
-            let r = cxfault::io_check("wal.fsync").and_then(|()| {
-                self.metrics
-                    .wal_fsync_ns
-                    .time_tagged(cxtrace::current_trace_id(), || w.file.sync_data())
-            });
+            let r = cxfault::io_check("wal.fsync").and_then(|()| w.file.sync_data());
             if let Err(e) = r {
                 self.enter_degraded(&format!("WAL fsync failed: {e}"));
                 trace.err(e.to_string());
@@ -1071,7 +1066,9 @@ impl DurableStore {
         let mut w = lock(&self.wal);
         cxfault::io_check("wal.append")?;
         cxfault::io_check("wal.fsync")?;
-        self.metrics.wal_fsync_ns.time(|| w.file.sync_data())?;
+        let fsync = cxtrace::enter(&self.metrics.wal_fsync);
+        w.file.sync_data()?;
+        drop(fsync);
         w.dirty = 0;
         w.last_sync = Instant::now();
         self.degraded.store(false, Ordering::Release);
@@ -1111,8 +1108,7 @@ impl DurableStore {
         // path is broken that is exactly the kind of half-completed disk
         // surgery the degraded state exists to prevent.
         self.ensure_writable()?;
-        let _span = self.metrics.checkpoint_ns.span_tagged(cxtrace::current_trace_id());
-        let _trace = cxtrace::span("checkpoint");
+        let _layer = cxtrace::enter(&self.metrics.checkpoint);
         let _exclusive = write_gate(&self.gate);
         let mut w = lock(&self.wal);
         // Everything up to w.lsn is in memory (mutators are drained); the

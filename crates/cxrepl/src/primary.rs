@@ -2,7 +2,7 @@
 
 use crate::error::{ReplError, Result};
 use crate::transport::FetchResponse;
-use cxobs::{Exposition, Histogram, Observable};
+use cxobs::{Exposition, Layer, Observable};
 use cxpersist::{DurableStore, TailShipment};
 use cxstore::StoreStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,19 +23,19 @@ pub struct Primary {
     snapshots_shipped: AtomicU64,
     /// One `handle_fetch` round trip (registered on the durable store's
     /// registry, so the whole shard exposes as one page).
-    ship_ns: Arc<Histogram>,
+    ship: Layer,
 }
 
 impl Primary {
     /// Serve `durable`'s log.
     pub fn new(durable: Arc<DurableStore>) -> Primary {
-        let ship_ns = durable.registry().histogram("cx_repl_ship_ns");
+        let ship = durable.registry().layer("repl.ship");
         Primary {
             durable,
             records_shipped: AtomicU64::new(0),
             batches_shipped: AtomicU64::new(0),
             snapshots_shipped: AtomicU64::new(0),
-            ship_ns,
+            ship,
         }
     }
 
@@ -54,7 +54,7 @@ impl Primary {
     /// transports preserve so the follower's loop parks instead of
     /// retrying an unhealable stream.
     pub fn handle_fetch(&self, after: u64, max_bytes: usize) -> Result<FetchResponse> {
-        let _span = self.ship_ns.span();
+        let _layer = cxtrace::enter(&self.ship);
         let head = self.durable.wal_position().lsn;
         if after > head {
             let detail = format!(

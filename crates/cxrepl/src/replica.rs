@@ -1,7 +1,7 @@
 //! The applying side: a live read-only store that follows a shipped log.
 
 use crate::error::{ReplError, Result};
-use cxobs::{Exposition, Histogram, Observable};
+use cxobs::{Exposition, Layer, Observable};
 use cxpersist::{scan_batch, DurableStore, Options, StoreSnapshot, WalOp};
 use cxstore::{Store, StoreStats};
 use std::collections::HashSet;
@@ -72,7 +72,7 @@ pub struct ReplicaStore {
     last_head: AtomicU64,
     counters: ReplicaCounters,
     /// One `apply_batch` round (on the replica store's registry).
-    apply_ns: Arc<Histogram>,
+    apply_layer: Layer,
 }
 
 impl Default for ReplicaStore {
@@ -87,14 +87,14 @@ impl ReplicaStore {
     /// otherwise).
     pub fn new() -> ReplicaStore {
         let store = Store::new();
-        let apply_ns = store.registry().histogram("cx_repl_apply_ns");
+        let apply_layer = store.registry().layer("repl.apply");
         ReplicaStore {
             store,
             apply: Mutex::default(),
             last_applied: AtomicU64::new(0),
             last_head: AtomicU64::new(0),
             counters: ReplicaCounters::default(),
-            apply_ns,
+            apply_layer,
         }
     }
 
@@ -137,7 +137,7 @@ impl ReplicaStore {
     /// valid prefix applies, the tail is dropped and reported); refuses
     /// gaps and divergence. Concurrent readers keep working throughout.
     pub fn apply_batch(&self, bytes: &[u8]) -> Result<BatchApply> {
-        let _span = self.apply_ns.span();
+        let _layer = cxtrace::enter(&self.apply_layer);
         let mut state = lock(&self.apply);
         let scan = scan_batch(bytes, self.last_applied());
         self.counters.batches.fetch_add(1, Ordering::Relaxed);

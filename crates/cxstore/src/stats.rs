@@ -1,9 +1,8 @@
 //! Store-level observability: lock-free counters plus an aggregated
 //! snapshot building on `goddag::GoddagStats`.
 
-use cxobs::{Exposition, Histogram, Registry};
+use cxobs::{Exposition, Layer, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Monotone event counters, updated with relaxed atomics on every hot path.
 #[derive(Debug, Default)]
@@ -32,26 +31,26 @@ impl Counters {
     }
 }
 
-/// The store's latency histograms, registered once on the store's
-/// [`Registry`] and bumped lock-free on the hot paths.
+/// The store's timed layers, registered once on the store's
+/// [`Registry`] and entered with [`cxtrace::enter`] on the hot paths.
 pub(crate) struct StoreMetrics {
-    /// Whole gated-edit latency ([`crate::Store::edit_with_log`]).
-    pub edit_ns: Arc<Histogram>,
-    /// Prevalidation-gate latency inside an edit.
-    pub gate_ns: Arc<Histogram>,
-    /// Single-document query latency.
-    pub query_ns: Arc<Histogram>,
-    /// Batch (`query_all*`) fan-out latency.
-    pub query_all_ns: Arc<Histogram>,
+    /// Whole gated edit ([`crate::Store::edit_with_log`]).
+    pub edit: Layer,
+    /// The prevalidation gate inside an edit.
+    pub gate: Layer,
+    /// Single-document query.
+    pub query: Layer,
+    /// Batch (`query_all*`) fan-out.
+    pub query_all: Layer,
 }
 
 impl StoreMetrics {
     pub(crate) fn new(r: &Registry) -> StoreMetrics {
         StoreMetrics {
-            edit_ns: r.histogram("cx_edit_ns"),
-            gate_ns: r.histogram("cx_gate_ns"),
-            query_ns: r.histogram("cx_query_ns"),
-            query_all_ns: r.histogram("cx_query_all_ns"),
+            edit: r.layer("store.edit"),
+            gate: r.layer("store.gate"),
+            query: r.layer("store.query"),
+            query_all: r.layer("store.query_all"),
         }
     }
 }

@@ -450,8 +450,7 @@ impl Store {
     /// Evaluate a node-set expression against one document, using the
     /// cached overlap index (built now if stale or missing).
     pub fn query(&self, id: DocId, expr: &str) -> Result<Vec<goddag::NodeId>> {
-        let _span = self.metrics.query_ns.span_tagged(cxtrace::current_trace_id());
-        let trace = cxtrace::span("store.query");
+        let trace = cxtrace::enter(&self.metrics.query);
         trace.attr("doc", id.raw());
         let ast = self.compile(expr)?;
         let entry = self.entry(id)?;
@@ -461,7 +460,7 @@ impl Store {
 
     /// Evaluate an expression of any result type against one document.
     pub fn query_value(&self, id: DocId, expr: &str) -> Result<OwnedValue> {
-        let _span = self.metrics.query_ns.span();
+        let _layer = cxtrace::enter(&self.metrics.query);
         let ast = self.compile(expr)?;
         let entry = self.entry(id)?;
         Counters::bump(&self.counters.queries);
@@ -478,8 +477,7 @@ impl Store {
     /// [`Store::query_all_serial`] by construction, which the conformance
     /// test pins down.
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
-        let _span = self.metrics.query_all_ns.span_tagged(cxtrace::current_trace_id());
-        let _trace = cxtrace::span("store.query_all");
+        let _layer = cxtrace::enter(&self.metrics.query_all);
         let ast = self.compile(expr)?;
         let entries = self.entries();
         Counters::bump(&self.counters.batch_queries);
@@ -509,7 +507,7 @@ impl Store {
     /// [`Store::query_all`], used as its reference and as the serial
     /// baseline in benches.
     pub fn query_all_serial(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
-        let _span = self.metrics.query_all_ns.span();
+        let _layer = cxtrace::enter(&self.metrics.query_all);
         let ast = self.compile(expr)?;
         let entries = self.entries();
         Counters::bump(&self.counters.batch_queries);
@@ -577,8 +575,7 @@ impl Store {
         op: EditOp,
         log: impl FnOnce(&EditOp, u64) -> std::result::Result<(), E>,
     ) -> std::result::Result<Result<EditOutcome>, E> {
-        let _span = self.metrics.edit_ns.span_tagged(cxtrace::current_trace_id());
-        let trace = cxtrace::span("store.edit");
+        let trace = cxtrace::enter(&self.metrics.edit);
         trace.attr("doc", id.raw());
         let entry = match self.entry(id) {
             Ok(e) => e,
@@ -589,11 +586,8 @@ impl Store {
         };
         let mut g = entry.write();
         let gate_result = {
-            let gate_trace = cxtrace::span("store.gate");
-            let r = self
-                .metrics
-                .gate_ns
-                .time_tagged(cxtrace::current_trace_id(), || self.gate(&entry, &g, &op));
+            let gate_trace = cxtrace::enter(&self.metrics.gate);
+            let r = self.gate(&entry, &g, &op);
             if let Err(err) = &r {
                 gate_trace.err(err.to_string());
             }
@@ -1363,7 +1357,9 @@ mod tests {
         for line in ["cx_docs 1", "cx_edits_total 1", "cx_edits_rejected_total 1"] {
             assert!(text.contains(&format!("{line}\n")), "missing {line:?} in:\n{text}");
         }
-        for hist in ["cx_edit_ns", "cx_gate_ns", "cx_query_ns", "cx_query_all_ns"] {
+        for hist in
+            ["cx_store_edit_ns", "cx_store_gate_ns", "cx_store_query_ns", "cx_store_query_all_ns"]
+        {
             assert!(text.contains(&format!("{hist}_count ")), "missing {hist} in:\n{text}");
             assert!(store.registry().histogram(hist).count() > 0, "{hist} never recorded");
         }
@@ -1374,8 +1370,8 @@ mod tests {
         let off = Store::with_registry(Arc::new(cxobs::Registry::disabled()));
         let id = off.insert(corpus::figure1::goddag());
         off.query(id, "//w").unwrap();
-        assert_eq!(off.registry().histogram("cx_query_ns").count(), 0);
-        assert!(off.exposition().contains("cx_query_ns_count 0\n"));
+        assert_eq!(off.registry().histogram("cx_store_query_ns").count(), 0);
+        assert!(off.exposition().contains("cx_store_query_ns_count 0\n"));
     }
 
     #[test]

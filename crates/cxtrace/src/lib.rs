@@ -30,14 +30,19 @@
 //!   live in their own ring, so normal churn can never evict them
 //!   (and they never evict normal traces' ring slots either — both
 //!   rings are independently bounded).
+//! * **One primitive per timed layer.** [`enter`] opens one guard on a
+//!   [`cxobs::Layer`] whose one clock pair feeds both the span and the
+//!   layer histogram; [`span`] and friends serve spans with no histogram.
 //!
 //! ```
+//! let obs = cxobs::Registry::new();
+//! let edit = obs.layer("store.edit");
 //! cxtrace::enable();
 //! {
 //!     let root = cxtrace::span_or_root("serve.request");
 //!     root.attr("verb", "edit");
 //!     {
-//!         let child = cxtrace::span("store.edit");
+//!         let child = cxtrace::enter(&edit);
 //!         child.attr("doc", 7u64);
 //!     }
 //! }
@@ -45,6 +50,8 @@
 //! assert_eq!(traces.len(), 1);
 //! let tree = cxtrace::find(traces[0].trace_id).unwrap();
 //! assert_eq!(tree.spans.len(), 2);
+//! let span = tree.spans.iter().find(|s| s.name == "store.edit").unwrap();
+//! assert_eq!(edit.histogram().snapshot().sum_ns, span.duration_ns);
 //! cxtrace::disable();
 //! ```
 
@@ -58,6 +65,6 @@ pub use recorder::{
     TraceConfig, TraceStats, TraceSummary,
 };
 pub use span::{
-    adopt, current, current_trace_id, disable, enable, enable_with, enabled, span, span_or_root,
-    start, AttrValue, SpanGuard, SpanRecord,
+    adopt, current, current_trace_id, disable, enable, enable_with, enabled, enter, span,
+    span_or_root, start, AttrValue, SpanGuard, SpanRecord,
 };

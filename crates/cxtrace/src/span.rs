@@ -3,6 +3,7 @@
 
 use crate::context::TraceContext;
 use crate::recorder::{self, TraceConfig};
+use cxobs::{Histogram, Layer};
 use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -131,7 +132,6 @@ pub struct SpanRecord {
 struct Frame {
     ctx: TraceContext,
     name: &'static str,
-    start: Instant,
     start_ns: u64,
     attrs: Vec<(&'static str, AttrValue)>,
     error: Option<String>,
@@ -156,62 +156,79 @@ thread_local! {
 /// `!Send` — a span lives and dies on the thread that opened it
 /// (contexts, not guards, cross threads).
 #[derive(Debug)]
-pub struct SpanGuard {
-    /// Index of this span's frame on the thread stack; `None` for the
-    /// inert guard a disabled process (or an idle thread) hands out.
-    depth: Option<usize>,
+pub struct SpanGuard<'a> {
+    timing: Timing<'a>,
     _not_send: PhantomData<*const ()>,
 }
 
-impl SpanGuard {
-    const NOOP: SpanGuard = SpanGuard { depth: None, _not_send: PhantomData };
+#[derive(Debug)]
+enum Timing<'a> {
+    /// Records nothing: tracing off or idle, and no enabled histogram.
+    Off,
+    /// The frame at this index of the thread stack; its one duration
+    /// also feeds the layer histogram, if any.
+    Traced { depth: usize, hist: Option<&'a Histogram> },
+    /// No active trace: only the layer histogram records.
+    Metered { hist: &'a Histogram, start: Instant },
+}
 
-    /// Whether this guard records anything.
+impl<'a> SpanGuard<'a> {
+    const NOOP: SpanGuard<'a> = SpanGuard::new(Timing::Off);
+
+    const fn new(timing: Timing<'a>) -> SpanGuard<'a> {
+        SpanGuard { timing, _not_send: PhantomData }
+    }
+
+    /// Whether this guard records a trace span.
     pub fn is_recording(&self) -> bool {
-        self.depth.is_some()
+        matches!(self.timing, Timing::Traced { .. })
+    }
+
+    /// Run `f` on this span's open frame (a no-op unless tracing).
+    fn with_frame(&self, f: impl FnOnce(&mut Frame)) {
+        let Timing::Traced { depth, .. } = self.timing else { return };
+        ACTIVE.with(|s| s.borrow_mut().stack.get_mut(depth).map(f));
     }
 
     /// Attach a typed attribute.
     pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
-        let Some(d) = self.depth else { return };
-        ACTIVE.with(|s| {
-            if let Some(f) = s.borrow_mut().stack.get_mut(d) {
-                f.attrs.push((key, value.into()));
-            }
-        });
+        self.with_frame(|f| f.attrs.push((key, value.into())));
     }
 
     /// Annotate the span as having ended in an error. A trace holding
     /// any error-annotated span is retained preferentially.
     pub fn err(&self, msg: impl Into<String>) {
-        let Some(d) = self.depth else { return };
-        ACTIVE.with(|s| {
-            if let Some(f) = s.borrow_mut().stack.get_mut(d) {
-                f.error = Some(msg.into());
-            }
-        });
+        self.with_frame(|f| f.error = Some(msg.into()));
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(d) = self.depth else { return };
+        let (depth, hist) = match self.timing {
+            Timing::Off => return,
+            Timing::Metered { hist, start } => return hist.record(start.elapsed()),
+            Timing::Traced { depth, hist } => (depth, hist),
+        };
+        let end_ns = recorder::now_ns();
         // Collect under the thread-local borrow; talk to the recorder
         // only after releasing it.
-        let flush = ACTIVE.with(|s| {
+        let (closed, flush) = ACTIVE.with(|s| {
             let mut s = s.borrow_mut();
             // Stack discipline is guaranteed by guard scoping; popping
-            // down to `d` is pure defense against a mem::forget'ed guard.
-            let mut flushed = None;
-            while s.stack.len() > d {
+            // down to `depth` is pure defense against a mem::forget'ed
+            // guard. The last frame popped is this guard's.
+            let (mut closed, mut flushed) = (None, None);
+            while s.stack.len() > depth {
                 let f = s.stack.pop().expect("stack checked non-empty");
+                let duration_ns = end_ns.saturating_sub(f.start_ns);
+                closed = Some((f.ctx.trace_id, duration_ns));
                 let rec = SpanRecord {
                     trace_id: f.ctx.trace_id,
                     span_id: f.ctx.span_id,
                     parent_id: f.ctx.parent_id,
                     name: f.name,
                     start_ns: f.start_ns,
-                    duration_ns: f.start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                    duration_ns,
                     attrs: f.attrs,
                     error: f.error,
                 };
@@ -225,34 +242,57 @@ impl Drop for SpanGuard {
                     s.buf_dropped += 1;
                 }
             }
-            flushed
+            (closed, flushed)
         });
         if let Some((trace_id, spans, dropped)) = flush {
             recorder::root_closed(trace_id, spans, dropped);
         }
+        if let (Some(hist), Some((trace_id, duration_ns))) = (hist, closed) {
+            hist.record_ns_tagged(duration_ns, trace_id);
+        }
     }
 }
 
-fn push_frame(name: &'static str, ctx: TraceContext, root: bool) -> SpanGuard {
+fn push_frame<'a>(
+    name: &'static str,
+    ctx: TraceContext,
+    root: bool,
+    hist: Option<&'a Histogram>,
+) -> SpanGuard<'a> {
     let start_ns = recorder::now_ns();
     let depth = ACTIVE.with(|s| {
         let mut s = s.borrow_mut();
         let d = s.stack.len();
-        s.stack.push(Frame {
-            ctx,
-            name,
-            start: Instant::now(),
-            start_ns,
-            attrs: Vec::new(),
-            error: None,
-            root,
-        });
+        s.stack.push(Frame { ctx, name, start_ns, attrs: Vec::new(), error: None, root });
         d
     });
     if root {
         recorder::root_opened(ctx.trace_id);
     }
-    SpanGuard { depth: Some(depth), _not_send: PhantomData }
+    SpanGuard::new(Timing::Traced { depth, hist })
+}
+
+/// A child of this thread's innermost active span; `None` when tracing
+/// is off or no trace is active here.
+fn child_context() -> Option<TraceContext> {
+    if !enabled() {
+        return None;
+    }
+    ACTIVE.with(|s| s.borrow().stack.last().map(|f| f.ctx.child()))
+}
+
+/// Open one span of a timed layer. Under an active trace it is a child
+/// span named after the layer, whose one duration is also the layer
+/// histogram's observation, with the trace id as exemplar. Otherwise it
+/// times with one [`Instant`] and records untagged, or, on a disabled
+/// registry, reads no clock at all.
+pub fn enter(layer: &Layer) -> SpanGuard<'_> {
+    let hist = layer.histogram();
+    match child_context() {
+        Some(ctx) => push_frame(layer.name(), ctx, false, Some(hist)),
+        None if hist.enabled() => SpanGuard::new(Timing::Metered { hist, start: Instant::now() }),
+        None => SpanGuard::NOOP,
+    }
 }
 
 /// Open a span under an explicit context — how a thread *adopts* a
@@ -260,25 +300,20 @@ fn push_frame(name: &'static str, ctx: TraceContext, root: bool) -> SpanGuard {
 /// token's child, a fan-out worker adopting the child context its
 /// spawner minted. If this thread has no active span, the new span
 /// becomes the thread root (its completion flushes the thread buffer).
-pub fn start(name: &'static str, ctx: TraceContext) -> SpanGuard {
+pub fn start(name: &'static str, ctx: TraceContext) -> SpanGuard<'static> {
     if !enabled() {
         return SpanGuard::NOOP;
     }
     let root = ACTIVE.with(|s| s.borrow().stack.is_empty());
-    push_frame(name, ctx, root)
+    push_frame(name, ctx, root, None)
 }
 
 /// Open a child span of this thread's innermost active span. The inert
-/// no-op when tracing is off *or* no trace is active on this thread —
-/// which is what lets `cxstore`/`cxpersist` hot paths call this
-/// unconditionally.
-pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::NOOP;
-    }
-    let ctx = ACTIVE.with(|s| s.borrow().stack.last().map(|f| f.ctx.child()));
-    match ctx {
-        Some(ctx) => push_frame(name, ctx, false),
+/// no-op when tracing is off *or* no trace is active on this thread, so
+/// hot paths call it unconditionally.
+pub fn span(name: &'static str) -> SpanGuard<'static> {
+    match child_context() {
+        Some(ctx) => push_frame(name, ctx, false, None),
         None => SpanGuard::NOOP,
     }
 }
@@ -286,7 +321,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// [`start`] when a context is present, the inert guard otherwise —
 /// the fan-out worker pattern: the spawner mints `parent.child()` (or
 /// `None` when untraced) and the worker adopts it unconditionally.
-pub fn adopt(name: &'static str, ctx: Option<TraceContext>) -> SpanGuard {
+pub fn adopt(name: &'static str, ctx: Option<TraceContext>) -> SpanGuard<'static> {
     match ctx {
         Some(c) => start(name, c),
         None => SpanGuard::NOOP,
@@ -296,14 +331,11 @@ pub fn adopt(name: &'static str, ctx: Option<TraceContext>) -> SpanGuard {
 /// A child span when a trace is active, a fresh root when none is —
 /// the entry points (client calls, server handlers) use this to mint
 /// traces lazily.
-pub fn span_or_root(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::NOOP;
-    }
-    let ctx = ACTIVE.with(|s| s.borrow().stack.last().map(|f| f.ctx.child()));
-    match ctx {
-        Some(ctx) => push_frame(name, ctx, false),
-        None => push_frame(name, TraceContext::mint(), true),
+pub fn span_or_root(name: &'static str) -> SpanGuard<'static> {
+    match child_context() {
+        Some(ctx) => push_frame(name, ctx, false, None),
+        None if enabled() => push_frame(name, TraceContext::mint(), true, None),
+        None => SpanGuard::NOOP,
     }
 }
 
@@ -317,8 +349,8 @@ pub fn current() -> Option<TraceContext> {
     ACTIVE.with(|s| s.borrow().stack.last().map(|f| f.ctx))
 }
 
-/// The active trace id, 0 when none — the tag latency histograms store
-/// as their per-bucket exemplar.
+/// The active trace id, 0 when none — the exemplar tag for a histogram
+/// recorded outside [`enter`] (a label known only after the work).
 pub fn current_trace_id() -> u64 {
     if !enabled() {
         return 0;
@@ -374,6 +406,24 @@ mod tests {
         assert_eq!(child.attrs, vec![("doc", AttrValue::U64(7))]);
         assert_eq!(child.error.as_deref(), Some("boom"));
         assert!(t.error, "an error span marks the whole trace");
+    }
+
+    #[test]
+    fn layer_spans_outside_a_trace_only_meter() {
+        // No root on this thread: a live layer records untagged, a
+        // disabled one not at all (the traced case: tests/layer_span.rs
+        // in cxstore, and the crate docs).
+        let live = cxobs::Registry::new().layer("store.edit");
+        let g = enter(&live);
+        assert!(!g.is_recording());
+        std::thread::sleep(std::time::Duration::from_micros(50));
+        drop(g);
+        assert_eq!(live.histogram().count(), 1);
+        assert!(live.histogram().snapshot().sum_ns >= 50_000, "measured the sleep");
+        assert_eq!(live.histogram().snapshot().exemplars, [0; cxobs::BUCKETS]);
+        let off = cxobs::Registry::disabled().layer("wal.append");
+        drop(enter(&off));
+        assert_eq!(off.histogram().count(), 0);
     }
 
     #[test]

@@ -47,19 +47,30 @@ impl Goddag {
         w.finish().map_err(|e| crate::error::GoddagError::Edit(e.to_string()))
     }
 
+    /// Write the subtree under `n` in hierarchy `h`. An explicit stack of
+    /// child iterators stands in for recursion, so nesting depth is bounded
+    /// by memory, not by the thread's stack.
     fn write_children(&self, w: &mut Writer, n: NodeId, h: HierarchyId) -> Result<()> {
-        for &c in self.children_in(n, h) {
+        let mut open = vec![self.children_in(n, h).iter()];
+        while let Some(siblings) = open.last_mut() {
+            let Some(&c) = siblings.next() else {
+                open.pop();
+                if !open.is_empty() {
+                    w.end().map_err(|e| crate::error::GoddagError::Edit(e.to_string()))?;
+                }
+                continue;
+            };
             match self.kind(c) {
                 NodeKind::Leaf { text } => {
                     w.text(text);
                 }
                 NodeKind::Element { name, attrs, .. } => {
-                    if self.children_in(c, h).is_empty() {
+                    let children = self.children_in(c, h);
+                    if children.is_empty() {
                         w.empty(name, attrs);
                     } else {
                         w.start_with(name, attrs);
-                        self.write_children(w, c, h)?;
-                        w.end().map_err(|e| crate::error::GoddagError::Edit(e.to_string()))?;
+                        open.push(children.iter());
                     }
                 }
                 NodeKind::Root { .. } => unreachable!("root is never a child"),
@@ -216,6 +227,22 @@ mod tests {
         let h = b.hierarchy("a");
         let g = b.finish().unwrap();
         assert_eq!(g.to_xml(h).unwrap(), "<r xml:id=\"ms1\">x</r>");
+    }
+
+    #[test]
+    fn deep_nesting_serializes_without_recursion() {
+        // 100k levels overflow a default test-thread stack under a
+        // recursive walk.
+        const DEPTH: usize = 100_000;
+        let mut b = GoddagBuilder::new(q("r"));
+        b.content("a".repeat(DEPTH));
+        let h = b.hierarchy("deep");
+        for i in 0..DEPTH {
+            b.range(h, "d", vec![], i, DEPTH).unwrap();
+        }
+        let g = b.finish().unwrap();
+        let want = format!("<r>{}{}</r>", "<d>a".repeat(DEPTH), "</d>".repeat(DEPTH));
+        assert_eq!(g.to_xml(h).unwrap(), want);
     }
 
     #[test]

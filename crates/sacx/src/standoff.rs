@@ -120,6 +120,22 @@ fn unescape(s: &str, line: usize) -> Result<String> {
     unescape_token(s).map_err(|detail| SacxError::Standoff { line, detail })
 }
 
+/// Attribute pairs as read from stand-off text: the names are outside
+/// input, so they are parsed (an empty or invalid name is an error, not a
+/// panic in `From<&str> for QName`).
+fn parse_attrs(pairs: &[(String, String)]) -> Result<Vec<Attribute>> {
+    pairs
+        .iter()
+        .map(|(n, v)| {
+            let name = QName::parse(n).map_err(|e| SacxError::Standoff {
+                line: 0,
+                detail: format!("bad attribute name {n:?}: {e}"),
+            })?;
+            Ok(Attribute { name, value: v.clone() })
+        })
+        .collect()
+}
+
 impl StandoffDoc {
     /// Build the stand-off view of a GODDAG.
     pub fn from_goddag(g: &Goddag) -> StandoffDoc {
@@ -208,9 +224,7 @@ impl StandoffDoc {
         let root = QName::parse(&self.root)
             .map_err(|e| SacxError::Standoff { line: 0, detail: format!("bad root name: {e}") })?;
         let mut b = GoddagBuilder::new(root);
-        b.root_attrs(
-            self.root_attrs.iter().map(|(n, v)| Attribute::new(n.as_str(), v.clone())).collect(),
-        );
+        b.root_attrs(parse_attrs(&self.root_attrs)?);
         b.content(self.content.clone());
         let hids: Vec<HierarchyId> =
             self.hierarchies.iter().map(|n| b.hierarchy(n.clone())).collect();
@@ -226,7 +240,7 @@ impl StandoffDoc {
             b.range_spec(RangeSpec {
                 hierarchy: h,
                 name,
-                attrs: a.attrs.iter().map(|(n, v)| Attribute::new(n.as_str(), v.clone())).collect(),
+                attrs: parse_attrs(&a.attrs)?,
                 start: a.start,
                 end: a.end,
             });

@@ -25,7 +25,7 @@ fn concurrent_writers_lose_no_bumps_and_samplers_see_monotone_totals() {
 
     let store = Arc::new(Store::new());
     let docs: Vec<_> = (0..WRITERS).map(|w| store.insert(manuscript(60, w as u64))).collect();
-    let edit_hist = store.registry().histogram("cx_edit_ns");
+    let edit_hist = store.registry().histogram("cx_store_edit_ns");
     let done = Arc::new(AtomicBool::new(false));
 
     // The sampler races the writers, snapshotting stats and the edit
